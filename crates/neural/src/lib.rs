@@ -36,5 +36,8 @@
 mod mlp;
 mod synth;
 
+#[cfg(test)]
+mod golden;
+
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use synth::prune_to_fanin;
