@@ -12,7 +12,7 @@ use lsml_aig::circuits::truth_table_cone;
 use lsml_aig::Aig;
 use lsml_dtree::select::{chi2_scores, forest_importance, select_k_best};
 use lsml_neural::{Mlp, MlpConfig};
-use lsml_pla::{Pattern, TruthTable};
+use lsml_pla::TruthTable;
 
 use crate::compile::{CompileBatch, SizeBudget};
 use crate::problem::{LearnedCircuit, Learner, Problem};
@@ -102,6 +102,7 @@ impl Team4 {
         // training data actually covers take their majority label (the
         // model must stay exact where it has evidence); only unseen
         // vertices are left to the network's generalization.
+        let predicted = mlp.to_truth_table().expect("at most 16 selected inputs");
         let mut pos = vec![0u32; 1 << k];
         let mut neg = vec![0u32; 1 << k];
         for (p, o) in projected.iter() {
@@ -117,7 +118,7 @@ impl Team4 {
             match pos[cell].cmp(&neg[cell]) {
                 std::cmp::Ordering::Greater => true,
                 std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => mlp.predict(&Pattern::from_index(u64::from(m), k)),
+                std::cmp::Ordering::Equal => predicted.get(m),
             }
         });
         let mut aig = Aig::new(problem.num_inputs());

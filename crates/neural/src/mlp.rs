@@ -78,13 +78,18 @@ impl Default for MlpConfig {
     }
 }
 
-/// One dense layer: row-major weights `[out][in]` with a pruning mask.
+/// One dense layer: row-major weights `[out][in]` and, per neuron, the
+/// ascending list of the inputs it still reads.
+///
+/// The live lists are the only record of pruning. A weight missing from its
+/// neuron's list is never read or written again and keeps the value it had
+/// when it was pruned.
 #[derive(Clone, Debug)]
 pub(crate) struct Dense {
     pub(crate) n_in: usize,
     pub(crate) n_out: usize,
     pub(crate) weights: Vec<f32>,
-    pub(crate) mask: Vec<bool>,
+    pub(crate) live: Vec<Vec<usize>>,
     pub(crate) bias: Vec<f32>,
 }
 
@@ -97,40 +102,117 @@ impl Dense {
             weights: (0..n_in * n_out)
                 .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
                 .collect(),
-            mask: vec![true; n_in * n_out],
+            live: vec![(0..n_in).collect(); n_out],
             bias: vec![0.0; n_out],
         }
     }
 
+    /// All `n_in` weights of neuron `o`, live or not.
+    pub(crate) fn row(&self, o: usize) -> &[f32] {
+        &self.weights[o * self.n_in..(o + 1) * self.n_in]
+    }
+
+    /// Weight `i -> o`, or 0.0 if pruned.
+    #[cfg(test)]
     pub(crate) fn weight(&self, o: usize, i: usize) -> f32 {
-        if self.mask[o * self.n_in + i] {
-            self.weights[o * self.n_in + i]
+        if self.live[o].binary_search(&i).is_ok() {
+            self.row(o)[i]
         } else {
             0.0
         }
     }
 
+    /// Pre-activation of neuron `o`: the bias plus every live weight times
+    /// its input, summed in ascending input order.
+    fn pre(&self, o: usize, input: &[f32]) -> f32 {
+        let row = self.row(o);
+        let live = &self.live[o];
+        let mut acc = self.bias[o];
+        if live.len() == self.n_in {
+            for (&w, &x) in row.iter().zip(input) {
+                acc += w * x;
+            }
+        } else {
+            for &i in live {
+                acc += row[i] * input[i];
+            }
+        }
+        acc
+    }
+
+    /// Pre-activations of all neurons, written over `out`.
     fn forward(&self, input: &[f32], out: &mut Vec<f32>) {
         out.clear();
-        for o in 0..self.n_out {
-            let mut acc = self.bias[o];
-            let row = &self.weights[o * self.n_in..(o + 1) * self.n_in];
-            let mrow = &self.mask[o * self.n_in..(o + 1) * self.n_in];
-            for i in 0..self.n_in {
-                if mrow[i] {
-                    acc += row[i] * input[i];
+        out.extend((0..self.n_out).map(|o| self.pre(o, input)));
+    }
+
+    /// One SGD update of the live weights and the biases from `local`, the
+    /// loss gradient at each neuron's pre-activation. When given, `prev`
+    /// (zeroed, `n_in` long) receives the gradient at the inputs, computed
+    /// from the weights before the update.
+    fn backward(
+        &mut self,
+        local: &[f32],
+        input: &[f32],
+        mut prev: Option<&mut [f32]>,
+        lr: f32,
+        decay: f32,
+    ) {
+        let n_in = self.n_in;
+        for (o, &lo) in local.iter().enumerate() {
+            let row = &mut self.weights[o * n_in..(o + 1) * n_in];
+            let live = &self.live[o];
+            match (live.len() == n_in, prev.as_deref_mut()) {
+                (true, Some(prev)) => {
+                    for ((w, &x), p) in row.iter_mut().zip(input).zip(prev) {
+                        *p += lo * *w;
+                        *w -= lr * (lo * x + decay * *w);
+                    }
+                }
+                (true, None) => {
+                    for (w, &x) in row.iter_mut().zip(input) {
+                        *w -= lr * (lo * x + decay * *w);
+                    }
+                }
+                (false, Some(prev)) => {
+                    for &i in live {
+                        prev[i] += lo * row[i];
+                        row[i] -= lr * (lo * input[i] + decay * row[i]);
+                    }
+                }
+                (false, None) => {
+                    for &i in live {
+                        row[i] -= lr * (lo * input[i] + decay * row[i]);
+                    }
                 }
             }
-            out.push(acc);
+            self.bias[o] -= lr * lo;
         }
     }
 
-    /// Live (unmasked) fanin of neuron `o`.
+    /// Live fanin of neuron `o`.
     pub(crate) fn fanin(&self, o: usize) -> usize {
-        self.mask[o * self.n_in..(o + 1) * self.n_in]
-            .iter()
-            .filter(|&&m| m)
-            .count()
+        self.live[o].len()
+    }
+}
+
+/// The buffers of the per-sample training kernel, allocated once per fit.
+struct Scratch {
+    /// Pre-activations of each layer.
+    pres: Vec<Vec<f32>>,
+    /// Activations of each layer.
+    acts: Vec<Vec<f32>>,
+    /// Loss gradient at the current layer's outputs.
+    delta: Vec<f32>,
+    /// Loss gradient at the current layer's inputs.
+    prev: Vec<f32>,
+}
+
+fn bit(b: bool) -> f32 {
+    if b {
+        1.0
+    } else {
+        0.0
     }
 }
 
@@ -186,99 +268,95 @@ impl Mlp {
         if ds.is_empty() {
             return;
         }
-        let inputs: Vec<Vec<f32>> = ds
+        let n = self.num_inputs;
+        let inputs: Vec<f32> = ds
             .patterns()
             .iter()
-            .map(|p| p.iter().map(|b| if b { 1.0 } else { 0.0 }).collect())
+            .flat_map(|p| p.iter().map(bit))
             .collect();
-        let targets: Vec<f32> = ds
-            .outputs()
-            .iter()
-            .map(|&o| if o { 1.0 } else { 0.0 })
-            .collect();
+        let targets: Vec<f32> = ds.outputs().iter().map(|&o| bit(o)).collect();
         let mut order: Vec<usize> = (0..ds.len()).collect();
+        let widths = || self.layers.iter().map(|l| Vec::with_capacity(l.n_out));
+        let mut scratch = Scratch {
+            pres: widths().collect(),
+            acts: widths().collect(),
+            delta: Vec::new(),
+            prev: Vec::new(),
+        };
 
         for _ in 0..cfg.epochs {
             order.shuffle(rng);
             for batch in order.chunks(cfg.batch_size.max(1)) {
-                self.sgd_step(batch, &inputs, &targets, cfg);
+                // Minibatch-averaged step size, applied sample by sample.
+                let lr = cfg.learning_rate / batch.len() as f32;
+                for &idx in batch {
+                    let x = &inputs[idx * n..(idx + 1) * n];
+                    self.sgd_sample(x, targets[idx], lr, cfg.weight_decay, &mut scratch);
+                }
             }
         }
     }
 
-    /// One SGD step over a minibatch (gradients averaged over the batch).
-    fn sgd_step(&mut self, batch: &[usize], inputs: &[Vec<f32>], targets: &[f32], cfg: &MlpConfig) {
-        let lr = cfg.learning_rate / batch.len() as f32;
-        for &idx in batch {
-            // Forward pass keeping pre-activations and activations.
-            let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len() + 1);
-            let mut pres: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
-            acts.push(inputs[idx].clone());
-            for (l, layer) in self.layers.iter().enumerate() {
-                let mut pre = Vec::new();
-                layer.forward(&acts[l], &mut pre);
-                let is_output = l + 1 == self.layers.len();
-                let act: Vec<f32> = pre
-                    .iter()
-                    .map(|&x| {
-                        if is_output {
-                            Activation::Sigmoid.apply(x)
-                        } else {
-                            self.activation.apply(x)
-                        }
-                    })
-                    .collect();
-                pres.push(pre);
-                acts.push(act);
+    /// The activation of layer `l`: the output layer is always a sigmoid.
+    pub(crate) fn activation_of(&self, l: usize) -> Activation {
+        if l + 1 == self.layers.len() {
+            Activation::Sigmoid
+        } else {
+            self.activation
+        }
+    }
+
+    /// One SGD update from one sample `x` with label `target`.
+    fn sgd_sample(&mut self, x: &[f32], target: f32, lr: f32, decay: f32, s: &mut Scratch) {
+        let n_layers = self.layers.len();
+        // Forward pass keeping pre-activations and activations.
+        for l in 0..n_layers {
+            let (done, rest) = s.acts.split_at_mut(l);
+            let input = if l == 0 { x } else { &done[l - 1] };
+            self.layers[l].forward(input, &mut s.pres[l]);
+            let act = self.activation_of(l);
+            rest[0].clear();
+            rest[0].extend(s.pres[l].iter().map(|&p| act.apply(p)));
+        }
+        // Backward pass: logistic loss gives (p - y) at the output.
+        s.delta.clear();
+        s.delta.push(s.acts[n_layers - 1][0] - target);
+        for l in (0..n_layers).rev() {
+            // delta holds dL/d(activation); fold in the activation
+            // derivative except at the sigmoid output, where (p - y)
+            // already includes it.
+            if l + 1 < n_layers {
+                let act = self.activation;
+                for ((d, &pre), &y) in s.delta.iter_mut().zip(&s.pres[l]).zip(&s.acts[l]) {
+                    *d *= act.derivative(pre, y);
+                }
             }
-            // Backward pass: logistic loss gives (p - y) at the output.
-            let mut delta = vec![acts.last().expect("output")[0] - targets[idx]];
-            for l in (0..self.layers.len()).rev() {
-                let is_output = l + 1 == self.layers.len();
-                let act_fn = if is_output {
-                    Activation::Sigmoid
-                } else {
-                    self.activation
-                };
-                // delta currently holds dL/d(activation); fold in activation
-                // derivative except at the sigmoid output where (p - y)
-                // already includes it.
-                let local: Vec<f32> = if is_output {
-                    delta.clone()
-                } else {
-                    delta
-                        .iter()
-                        .enumerate()
-                        .map(|(o, &d)| d * act_fn.derivative(pres[l][o], acts[l + 1][o]))
-                        .collect()
-                };
-                // Gradient wrt previous activations (before updating weights).
-                let layer = &self.layers[l];
-                let mut prev_delta = vec![0.0f32; layer.n_in];
-                for (o, &lo) in local.iter().enumerate().take(layer.n_out) {
-                    let row = o * layer.n_in;
-                    for (i, pd) in prev_delta.iter_mut().enumerate() {
-                        if layer.mask[row + i] {
-                            *pd += lo * layer.weights[row + i];
-                        }
-                    }
-                }
-                // Weight update.
-                let layer = &mut self.layers[l];
-                for (o, &lo) in local.iter().enumerate().take(layer.n_out) {
-                    let row = o * layer.n_in;
-                    for (i, &act) in acts[l].iter().enumerate().take(layer.n_in) {
-                        let w = row + i;
-                        if layer.mask[w] {
-                            let grad = lo * act + cfg.weight_decay * layer.weights[w];
-                            layer.weights[w] -= lr * grad;
-                        }
-                    }
-                    layer.bias[o] -= lr * lo;
-                }
-                delta = prev_delta;
+            let layer = &mut self.layers[l];
+            if l == 0 {
+                // Nothing reads the gradient at the primary inputs.
+                layer.backward(&s.delta, x, None, lr, decay);
+            } else {
+                s.prev.clear();
+                s.prev.resize(layer.n_in, 0.0);
+                layer.backward(&s.delta, &s.acts[l - 1], Some(&mut s.prev), lr, decay);
+                std::mem::swap(&mut s.delta, &mut s.prev);
             }
         }
+    }
+
+    /// Runs the network on the input held in `cur`, using `next` as the
+    /// second buffer, and returns the output probability. Both buffers are
+    /// overwritten.
+    pub(crate) fn run(&self, cur: &mut Vec<f32>, next: &mut Vec<f32>) -> f32 {
+        for (l, layer) in self.layers.iter().enumerate() {
+            layer.forward(cur, next);
+            let act = self.activation_of(l);
+            for v in next.iter_mut() {
+                *v = act.apply(*v);
+            }
+            std::mem::swap(cur, next);
+        }
+        cur[0]
     }
 
     /// Number of primary inputs.
@@ -293,23 +371,8 @@ impl Mlp {
 
     /// The probability of class 1 for one pattern.
     pub fn predict_proba(&self, p: &Pattern) -> f32 {
-        let mut values: Vec<f32> = p.iter().map(|b| if b { 1.0 } else { 0.0 }).collect();
-        let mut next = Vec::new();
-        for (l, layer) in self.layers.iter().enumerate() {
-            layer.forward(&values, &mut next);
-            let is_output = l + 1 == self.layers.len();
-            values = next
-                .iter()
-                .map(|&x| {
-                    if is_output {
-                        Activation::Sigmoid.apply(x)
-                    } else {
-                        self.activation.apply(x)
-                    }
-                })
-                .collect();
-        }
-        values[0]
+        let mut cur: Vec<f32> = p.iter().map(bit).collect();
+        self.run(&mut cur, &mut Vec::new())
     }
 
     /// Hard classification at threshold 0.5.
@@ -319,20 +382,26 @@ impl Mlp {
 
     /// Accuracy over a dataset.
     pub fn accuracy(&self, ds: &Dataset) -> f64 {
-        ds.accuracy_of(|p| self.predict(p))
+        let (mut cur, mut next) = (Vec::new(), Vec::new());
+        ds.accuracy_of(|p| {
+            cur.clear();
+            cur.extend(p.iter().map(bit));
+            self.run(&mut cur, &mut next) > 0.5
+        })
     }
 
     /// Team 5's importance proxy: the summed first-layer |weight| feeding
     /// out of each input.
     pub fn input_importance(&self) -> Vec<f64> {
         let first = &self.layers[0];
-        (0..first.n_in)
-            .map(|i| {
-                (0..first.n_out)
-                    .map(|o| f64::from(first.weight(o, i).abs()))
-                    .sum()
-            })
-            .collect()
+        let mut importance = vec![0.0; first.n_in];
+        for (o, live) in first.live.iter().enumerate() {
+            let row = first.row(o);
+            for &i in live {
+                importance[i] += f64::from(row[i].abs());
+            }
+        }
+        importance
     }
 
     /// Maximum live fanin over all neurons.

@@ -17,26 +17,22 @@ pub fn prune_to_fanin(mlp: &mut Mlp, ds: &Dataset, cfg: &MlpConfig, max_fanin: u
         rounds += 1;
         for layer in mlp.layers.iter_mut() {
             for o in 0..layer.n_out {
-                let live: Vec<usize> = (0..layer.n_in)
-                    .filter(|&i| layer.mask[o * layer.n_in + i])
-                    .collect();
+                let live = &layer.live[o];
                 if live.len() <= max_fanin {
                     continue;
                 }
                 // Drop the weakest 30% of live connections (at least one,
-                // never below the budget in a single over-shoot).
-                let mut by_mag: Vec<usize> = live.clone();
-                by_mag.sort_by(|&a, &b| {
-                    layer.weights[o * layer.n_in + a]
-                        .abs()
-                        .partial_cmp(&layer.weights[o * layer.n_in + b].abs())
-                        .expect("finite weights")
-                });
+                // never below the budget in a single over-shoot). The sort is
+                // stable, so equal magnitudes go in input order; `total_cmp`
+                // orders finite magnitudes like `<` and puts NaN last.
+                let row = layer.row(o);
+                let mut weakest = live.clone();
+                weakest.sort_by(|&a, &b| row[a].abs().total_cmp(&row[b].abs()));
                 let drop = ((live.len() as f64 * 0.3).ceil() as usize)
                     .clamp(1, live.len() - max_fanin.min(live.len()));
-                for &i in by_mag.iter().take(drop) {
-                    layer.mask[o * layer.n_in + i] = false;
-                }
+                weakest.truncate(drop);
+                weakest.sort_unstable();
+                layer.live[o].retain(|i| weakest.binary_search(i).is_err());
             }
         }
         // Recover accuracy with a short retraining pass.
@@ -63,27 +59,20 @@ impl Mlp {
         let mut aig = Aig::new(self.num_inputs());
         let mut lits: Vec<Lit> = aig.inputs();
         for (l, layer) in self.layers.iter().enumerate() {
-            let is_output = l + 1 == self.layers.len();
-            let act = if is_output {
-                Activation::Sigmoid
-            } else {
-                self.activation
-            };
+            let act = self.activation_of(l);
             let mut next = Vec::with_capacity(layer.n_out);
-            for o in 0..layer.n_out {
-                let live: Vec<usize> = (0..layer.n_in)
-                    .filter(|&i| layer.mask[o * layer.n_in + i])
-                    .collect();
+            for (o, live) in layer.live.iter().enumerate() {
                 assert!(
                     live.len() <= max_enum_fanin,
                     "neuron fanin {} exceeds enumeration budget {max_enum_fanin}; prune first",
                     live.len()
                 );
+                let row = layer.row(o);
                 let table = TruthTable::from_fn(live.len(), |m| {
                     let mut acc = layer.bias[o];
                     for (b, &i) in live.iter().enumerate() {
                         if (m >> b) & 1 == 1 {
-                            acc += layer.weights[o * layer.n_in + i];
+                            acc += row[i];
                         }
                     }
                     quantize(act, acc)
@@ -102,39 +91,39 @@ impl Mlp {
     /// computes), evaluated in software.
     pub fn predict_quantized(&self, p: &lsml_pla::Pattern) -> bool {
         let mut values: Vec<bool> = p.iter().collect();
+        let mut next = Vec::new();
         for (l, layer) in self.layers.iter().enumerate() {
-            let is_output = l + 1 == self.layers.len();
-            let act = if is_output {
-                Activation::Sigmoid
-            } else {
-                self.activation
-            };
-            values = (0..layer.n_out)
-                .map(|o| {
-                    let mut acc = layer.bias[o];
-                    let row = o * layer.n_in;
-                    for (i, &v) in values.iter().enumerate().take(layer.n_in) {
-                        if layer.mask[row + i] && v {
-                            acc += layer.weights[row + i];
-                        }
+            let act = self.activation_of(l);
+            next.clear();
+            next.extend(layer.live.iter().enumerate().map(|(o, live)| {
+                let row = layer.row(o);
+                let mut acc = layer.bias[o];
+                for &i in live {
+                    if values[i] {
+                        acc += row[i];
                     }
-                    quantize(act, acc)
-                })
-                .collect();
+                }
+                quantize(act, acc)
+            }));
+            std::mem::swap(&mut values, &mut next);
         }
         values[0]
     }
 
     /// Exhaustively enumerates the exact floating-point network into a truth
-    /// table (Team 8's small-input synthesis). `None` if the input count
-    /// exceeds [`lsml_pla::truth::MAX_TRUTH_VARS`].
+    /// table (Team 8's small-input synthesis), through one pair of reused
+    /// buffers. Bit `m` is [`Mlp::predict`] on `Pattern::from_index(m, n)`.
+    /// `None` if the input count exceeds [`lsml_pla::truth::MAX_TRUTH_VARS`].
     pub fn to_truth_table(&self) -> Option<TruthTable> {
-        if self.num_inputs() > lsml_pla::truth::MAX_TRUTH_VARS {
+        let n = self.num_inputs();
+        if n > lsml_pla::truth::MAX_TRUTH_VARS {
             return None;
         }
-        let n = self.num_inputs();
+        let (mut cur, mut next) = (Vec::with_capacity(n), Vec::new());
         Some(TruthTable::from_fn(n, |m| {
-            self.predict(&lsml_pla::Pattern::from_index(u64::from(m), n))
+            cur.clear();
+            cur.extend((0..n).map(|i| if (m >> i) & 1 == 1 { 1.0 } else { 0.0 }));
+            self.run(&mut cur, &mut next) > 0.5
         }))
     }
 }
@@ -227,12 +216,71 @@ mod tests {
             epochs: 200,
             ..MlpConfig::default()
         };
-        let mlp = Mlp::train(&ds, &cfg);
-        let table = mlp.to_truth_table().expect("4 inputs fits");
-        for m in 0..16u32 {
-            let p = Pattern::from_index(u64::from(m), 4);
-            assert_eq!(table.get(m), mlp.predict(&p));
+        let dense = Mlp::train(&ds, &cfg);
+        // Partially live rows: pruned below the 4-input fanin.
+        let mut pruned = Mlp::train(&ds, &cfg);
+        prune_to_fanin(&mut pruned, &ds, &cfg, 2);
+        assert!(pruned.max_fanin() <= 2);
+        let sine = Mlp::train(
+            &ds,
+            &MlpConfig {
+                hidden: vec![8, 4],
+                activation: Activation::Sine,
+                ..cfg.clone()
+            },
+        );
+        for mlp in [&dense, &pruned, &sine] {
+            let table = mlp.to_truth_table().expect("4 inputs fits");
+            for m in 0..16u32 {
+                let p = Pattern::from_index(u64::from(m), 4);
+                assert_eq!(table.get(m), mlp.predict(&p));
+            }
         }
+    }
+
+    #[test]
+    fn retrain_never_touches_pruned_weights() {
+        let ds = full_dataset(|m| (m & 0b101) == 0b101 || m & 0b1000_0000 != 0, 8);
+        let cfg = MlpConfig {
+            hidden: vec![10, 5],
+            epochs: 60,
+            ..MlpConfig::default()
+        };
+        let mut mlp = Mlp::train(&ds, &cfg);
+        prune_to_fanin(&mut mlp, &ds, &cfg, 3);
+        let dead = |mlp: &Mlp| -> Vec<u32> {
+            let mut bits = Vec::new();
+            for layer in &mlp.layers {
+                for (o, live) in layer.live.iter().enumerate() {
+                    for (i, w) in layer.row(o).iter().enumerate() {
+                        if !live.contains(&i) {
+                            bits.push(w.to_bits());
+                        }
+                    }
+                }
+            }
+            bits
+        };
+        let before = mlp.clone();
+        mlp.retrain(&ds, &cfg);
+        assert!(!dead(&before).is_empty());
+        assert_eq!(dead(&mlp), dead(&before));
+        // The live weights did train.
+        assert_ne!(mlp.layers[0].weights, before.layers[0].weights);
+    }
+
+    #[test]
+    fn pruning_tolerates_a_nan_weight() {
+        let ds = full_dataset(|m| m & 0b11 == 0b11, 6);
+        let cfg = MlpConfig {
+            hidden: vec![4],
+            epochs: 20,
+            ..MlpConfig::default()
+        };
+        let mut mlp = Mlp::train(&ds, &cfg);
+        mlp.layers[0].weights[3] = f32::NAN;
+        prune_to_fanin(&mut mlp, &ds, &cfg, 2);
+        assert!(mlp.max_fanin() <= 2);
     }
 
     #[test]
