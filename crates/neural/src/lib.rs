@@ -18,6 +18,23 @@
 //! * [`Mlp::input_importance`] — first-layer weight magnitudes, Team 5's
 //!   NN-guided feature selection.
 //!
+//! # Live weights and bit-identity
+//!
+//! Each neuron keeps the ascending list of the inputs it still reads.
+//! Pruning removes entries from these lists, and nothing else records it.
+//! Training, prediction, enumeration and synthesis read only listed weights,
+//! so a pruned weight is never read or written again (retraining leaves it
+//! bit-unchanged) and a pruned neuron costs time in proportion to its live
+//! fanin, not to its layer width.
+//!
+//! The kernels are fast without being approximate. Every neuron sums its
+//! bias and then weight × input over its live inputs in ascending input
+//! order, and an input of 0.0 is still multiplied, not skipped: skipping
+//! would keep a -0.0 sum that adding `w * 0.0` turns into +0.0, and a branch
+//! on random 0/1 inputs mispredicts. Weights, predictions and truth tables
+//! are therefore bit-identical to the plain dense loops with a pruning mask,
+//! and golden hashes in the crate's tests pin them.
+//!
 //! # Examples
 //!
 //! ```

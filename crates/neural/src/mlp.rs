@@ -208,7 +208,8 @@ struct Scratch {
     prev: Vec<f32>,
 }
 
-fn bit(b: bool) -> f32 {
+/// The network's encoding of a Boolean input.
+pub(crate) fn bit(b: bool) -> f32 {
     if b {
         1.0
     } else {

@@ -4,7 +4,7 @@ use lsml_aig::circuits::truth_table_cone;
 use lsml_aig::{Aig, Lit};
 use lsml_pla::{Dataset, TruthTable};
 
-use crate::mlp::{Activation, Mlp, MlpConfig};
+use crate::mlp::{bit, Activation, Mlp, MlpConfig};
 
 /// Team 3's connection pruning: repeatedly drop the smallest-magnitude
 /// fraction of each over-budget neuron's live weights and retrain, until
@@ -122,7 +122,7 @@ impl Mlp {
         let (mut cur, mut next) = (Vec::with_capacity(n), Vec::new());
         Some(TruthTable::from_fn(n, |m| {
             cur.clear();
-            cur.extend((0..n).map(|i| if (m >> i) & 1 == 1 { 1.0 } else { 0.0 }));
+            cur.extend((0..n).map(|i| bit((m >> i) & 1 == 1)));
             self.run(&mut cur, &mut next) > 0.5
         }))
     }
