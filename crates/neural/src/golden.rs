@@ -2,10 +2,11 @@
 //!
 //! Each case trains a network at a fixed seed and hashes (FNV-1a) the bits of
 //! its live weights and biases together with its `predict_quantized` and
-//! `to_truth_table` outputs. The hashes were recorded on the original
-//! mask-based implementation; any rewrite of the kernels must reproduce them
-//! exactly, which pins both the float summation order and the set of weights
-//! that training touches.
+//! `to_truth_table` outputs; the newer cases also hash the exact output
+//! probabilities. Each hash was recorded on the kernels that preceded the
+//! rewrite it guards, and any rewrite must reproduce them exactly, which pins
+//! both the float summation order and the set of weights that training
+//! touches.
 
 use lsml_pla::{Dataset, Pattern};
 
@@ -28,8 +29,9 @@ impl Fnv {
     }
 }
 
-/// Seeded patterns with a label mixing a majority, an XOR and an AND, so
-/// that every case trains to non-trivial weights.
+/// Seeded patterns with a label mixing a majority (of the first five inputs,
+/// or all of them when fewer), an XOR and an AND, so that every case trains
+/// to non-trivial weights.
 fn dataset(nv: usize, len: usize, seed: u64) -> Dataset {
     let mut state = seed;
     let mut next = || {
@@ -42,7 +44,8 @@ fn dataset(nv: usize, len: usize, seed: u64) -> Dataset {
     let mut ds = Dataset::new(nv);
     for _ in 0..len {
         let bits: Vec<bool> = (0..nv).map(|_| next() & 1 == 1).collect();
-        let majority = bits[..5].iter().filter(|&&b| b).count() >= 3;
+        let voters = nv.min(5);
+        let majority = bits[..voters].iter().filter(|&&b| b).count() * 2 > voters;
         let label = (majority ^ bits[nv - 1]) || (bits[2] && bits[nv / 2]);
         ds.push(Pattern::from_bools(&bits), label);
     }
@@ -79,6 +82,16 @@ fn digest(mlp: &Mlp, ds: &Dataset) -> u64 {
             }
         }
         None => h.word(u64::MAX),
+    }
+    h.0
+}
+
+/// Hash of the exact output probabilities on the dataset's patterns, which
+/// pins the float forward pass beyond the 0.5 threshold.
+fn probabilities(mlp: &Mlp, ds: &Dataset) -> u64 {
+    let mut h = Fnv::new();
+    for p in ds.patterns() {
+        h.word(u64::from(mlp.predict_proba(p).to_bits()));
     }
     h.0
 }
@@ -135,4 +148,59 @@ fn golden_pruned_12_inputs() {
     prune_to_fanin(&mut mlp, &ds, &c, 5);
     assert!(mlp.max_fanin() <= 5);
     assert_eq!(digest(&mlp, &ds), 0x1ea866bc3a79489b);
+}
+
+#[test]
+fn golden_team4_shape() {
+    // Team 4's approximator: sigmoid [32,16] on 14 selected inputs, then the
+    // full 2^14-cell table.
+    let ds = dataset(14, 533, 6);
+    let mlp = Mlp::train(&ds, &cfg(&[32, 16], Activation::Sigmoid, 40, 16));
+    assert_eq!(
+        (digest(&mlp, &ds), probabilities(&mlp, &ds)),
+        (0xec31d368e0b7bfa8, 0x55ff0c44a7095200)
+    );
+}
+
+#[test]
+fn golden_three_inputs() {
+    // A table shorter than one batch of cells and widths that are not
+    // multiples of a lane block.
+    let ds = dataset(3, 64, 7);
+    let mut c = cfg(&[5, 3], Activation::Sigmoid, 80, 17);
+    c.batch_size = 8;
+    let mlp = Mlp::train(&ds, &c);
+    assert_eq!(
+        (digest(&mlp, &ds), probabilities(&mlp, &ds)),
+        (0x17925c514a51f7d3, 0x91e73ae1e3e4b6ae)
+    );
+}
+
+#[test]
+fn golden_pruned_relu_12_6() {
+    // ReLU puts zero activations into the next layer and negative sums
+    // through the pruned (masked) weights.
+    let ds = dataset(10, 300, 8);
+    let c = cfg(&[12, 6], Activation::Relu, 30, 18);
+    let mut mlp = Mlp::train(&ds, &c);
+    prune_to_fanin(&mut mlp, &ds, &c, 4);
+    assert!(mlp.max_fanin() <= 4);
+    assert_eq!(
+        (digest(&mlp, &ds), probabilities(&mlp, &ds)),
+        (0xbded45ec56dbe155, 0x860a7a62ab600939)
+    );
+}
+
+#[test]
+fn golden_pruned_sine() {
+    let ds = dataset(9, 300, 9);
+    let mut c = cfg(&[10, 5], Activation::Sine, 30, 19);
+    c.learning_rate = 0.2;
+    let mut mlp = Mlp::train(&ds, &c);
+    prune_to_fanin(&mut mlp, &ds, &c, 3);
+    assert!(mlp.max_fanin() <= 3);
+    assert_eq!(
+        (digest(&mlp, &ds), probabilities(&mlp, &ds)),
+        (0x8bfe410997d5557e, 0x86a2b2cc75e56302)
+    );
 }
