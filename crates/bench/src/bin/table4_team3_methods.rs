@@ -77,9 +77,9 @@ fn main() {
             prune_to_fanin(&mut mlp, &problem.train, &nn_cfg, 8);
             let aig = mlp.to_aig_quantized(8);
             nn.push(Row {
-                train: data.train.accuracy_of(|p| mlp.predict_quantized(p)),
-                valid: data.valid.accuracy_of(|p| mlp.predict_quantized(p)),
-                test: data.test.accuracy_of(|p| mlp.predict_quantized(p)),
+                train: mlp.accuracy_quantized(&data.train),
+                valid: mlp.accuracy_quantized(&data.valid),
+                test: mlp.accuracy_quantized(&data.test),
                 size: aig.num_ands() as f64,
             });
         }

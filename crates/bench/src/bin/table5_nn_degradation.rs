@@ -43,9 +43,9 @@ fn main() {
         prune_to_fanin(&mut mlp, &data.train, &cfg, 8);
         let a1 = accs(&mlp);
         let a2 = [
-            data.train.accuracy_of(|p| mlp.predict_quantized(p)),
-            data.valid.accuracy_of(|p| mlp.predict_quantized(p)),
-            data.test.accuracy_of(|p| mlp.predict_quantized(p)),
+            mlp.accuracy_quantized(&data.train),
+            mlp.accuracy_quantized(&data.valid),
+            mlp.accuracy_quantized(&data.test),
         ];
         for i in 0..3 {
             initial[i] += a0[i];

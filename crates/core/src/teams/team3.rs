@@ -79,7 +79,7 @@ impl Team3 {
             let mut mlp = Mlp::train(train, &nn_cfg);
             prune_to_fanin(&mut mlp, train, &nn_cfg, self.nn_max_fanin);
             let aig = mlp.to_aig_quantized(self.nn_max_fanin);
-            let acc = held.accuracy_of(|p| mlp.predict_quantized(p));
+            let acc = mlp.accuracy_quantized(held);
             if acc > best.2 {
                 best = (aig, "nn-lut", acc);
             }

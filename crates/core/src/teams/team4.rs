@@ -49,13 +49,11 @@ impl Learner for Team4 {
         let importance = forest_importance(&problem.train, 8, stage_seed(problem, 4));
         let chi2 = chi2_scores(&problem.train);
         // Level-2 blend: normalized rank average of the two score vectors.
+        let maxc = chi2.iter().cloned().fold(1e-12, f64::max);
         let blend: Vec<f64> = importance
             .iter()
             .zip(chi2.iter())
-            .map(|(&a, &b)| {
-                let maxc = chi2.iter().cloned().fold(1e-12, f64::max);
-                a + b / maxc
-            })
+            .map(|(&a, &b)| a + b / maxc)
             .collect();
 
         // Team 4 kept "the best PLA that synthesizes under the node budget"

@@ -62,10 +62,10 @@ fn digest(mlp: &Mlp, ds: &Dataset) -> u64 {
         h.word(layer.n_out as u64);
         for o in 0..layer.n_out {
             h.word(layer.fanin(o) as u64);
-            h.word(u64::from(layer.bias[o].to_bits()));
+            h.word(u64::from(layer.bias(o).to_bits()));
             for i in 0..layer.n_in {
                 // Dead weights read as 0.0, whatever their stale value.
-                h.word(u64::from(layer.weight(o, i).to_bits()));
+                h.word(u64::from(layer.live_weight(o, i).to_bits()));
             }
         }
     }

@@ -2,9 +2,9 @@
 
 use lsml_aig::circuits::truth_table_cone;
 use lsml_aig::{Aig, Lit};
-use lsml_pla::{Dataset, TruthTable};
+use lsml_pla::{Dataset, Pattern, TruthTable};
 
-use crate::mlp::{bit, Activation, Mlp, MlpConfig};
+use crate::mlp::{bit, Activation, Batch, Mlp, MlpConfig, CELLS};
 
 /// Team 3's connection pruning: repeatedly drop the smallest-magnitude
 /// fraction of each over-budget neuron's live weights and retrain, until
@@ -25,9 +25,9 @@ pub fn prune_to_fanin(mlp: &mut Mlp, ds: &Dataset, cfg: &MlpConfig, max_fanin: u
                 // never below the budget in a single over-shoot). The sort is
                 // stable, so equal magnitudes go in input order; `total_cmp`
                 // orders finite magnitudes like `<` and puts NaN last.
-                let row = layer.row(o);
                 let mut weakest = live.clone();
-                weakest.sort_by(|&a, &b| row[a].abs().total_cmp(&row[b].abs()));
+                let magnitude = |i: usize| layer.weight(o, i).abs();
+                weakest.sort_by(|&a, &b| magnitude(a).total_cmp(&magnitude(b)));
                 let drop = ((live.len() as f64 * 0.3).ceil() as usize)
                     .clamp(1, live.len() - max_fanin.min(live.len()));
                 weakest.truncate(drop);
@@ -67,12 +67,11 @@ impl Mlp {
                     "neuron fanin {} exceeds enumeration budget {max_enum_fanin}; prune first",
                     live.len()
                 );
-                let row = layer.row(o);
                 let table = TruthTable::from_fn(live.len(), |m| {
-                    let mut acc = layer.bias[o];
+                    let mut acc = layer.bias(o);
                     for (b, &i) in live.iter().enumerate() {
                         if (m >> b) & 1 == 1 {
-                            acc += row[i];
+                            acc += layer.weight(o, i);
                         }
                     }
                     quantize(act, acc)
@@ -89,41 +88,57 @@ impl Mlp {
 
     /// The quantized-network prediction (what [`Mlp::to_aig_quantized`]
     /// computes), evaluated in software.
-    pub fn predict_quantized(&self, p: &lsml_pla::Pattern) -> bool {
-        let mut values: Vec<bool> = p.iter().collect();
-        let mut next = Vec::new();
+    pub fn predict_quantized(&self, p: &Pattern) -> bool {
+        self.run_quantized(p, &mut Vec::new(), &mut Vec::new())
+    }
+
+    /// Accuracy of [`Mlp::predict_quantized`] over a dataset, through one
+    /// pair of reused buffers.
+    pub fn accuracy_quantized(&self, ds: &Dataset) -> f64 {
+        let (mut values, mut next) = (Vec::new(), Vec::new());
+        ds.accuracy_of(|p| self.run_quantized(p, &mut values, &mut next))
+    }
+
+    /// [`Mlp::predict_quantized`] with caller-owned buffers, both
+    /// overwritten.
+    fn run_quantized(&self, p: &Pattern, values: &mut Vec<bool>, next: &mut Vec<bool>) -> bool {
+        values.clear();
+        values.extend(p.iter());
         for (l, layer) in self.layers.iter().enumerate() {
             let act = self.activation_of(l);
             next.clear();
             next.extend(layer.live.iter().enumerate().map(|(o, live)| {
-                let row = layer.row(o);
-                let mut acc = layer.bias[o];
+                let mut acc = layer.bias(o);
                 for &i in live {
                     if values[i] {
-                        acc += row[i];
+                        acc += layer.weight(o, i);
                     }
                 }
                 quantize(act, acc)
             }));
-            std::mem::swap(&mut values, &mut next);
+            std::mem::swap(values, next);
         }
         values[0]
     }
 
     /// Exhaustively enumerates the exact floating-point network into a truth
-    /// table (Team 8's small-input synthesis), through one pair of reused
-    /// buffers. Bit `m` is [`Mlp::predict`] on `Pattern::from_index(m, n)`.
+    /// table (Team 8's small-input synthesis), one table word of cells per
+    /// batch: bit `m` is [`Mlp::predict`] on `Pattern::from_index(m, n)`.
     /// `None` if the input count exceeds [`lsml_pla::truth::MAX_TRUTH_VARS`].
     pub fn to_truth_table(&self) -> Option<TruthTable> {
         let n = self.num_inputs();
         if n > lsml_pla::truth::MAX_TRUTH_VARS {
             return None;
         }
-        let (mut cur, mut next) = (Vec::with_capacity(n), Vec::new());
-        Some(TruthTable::from_fn(n, |m| {
-            cur.clear();
-            cur.extend((0..n).map(|i| bit((m >> i) & 1 == 1)));
-            self.run(&mut cur, &mut next) > 0.5
+        let mut batch = Batch::default();
+        Some(TruthTable::from_word_fn(n, |w| {
+            batch.cur.clear();
+            let first = CELLS * w;
+            batch
+                .cur
+                .extend((0..n).map(|i| std::array::from_fn(|c| bit(((first + c) >> i) & 1 == 1))));
+            let out = self.run_batch(&mut batch);
+            (0..CELLS).fold(0, |word, c| word | u64::from(out[c] > 0.5) << c)
         }))
     }
 }
@@ -141,7 +156,6 @@ fn quantize(act: Activation, pre: f32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsml_pla::Pattern;
 
     fn full_dataset(f: impl Fn(u64) -> bool, nv: usize) -> Dataset {
         let mut ds = Dataset::new(nv);
@@ -252,9 +266,9 @@ mod tests {
             let mut bits = Vec::new();
             for layer in &mlp.layers {
                 for (o, live) in layer.live.iter().enumerate() {
-                    for (i, w) in layer.row(o).iter().enumerate() {
+                    for i in 0..layer.n_in {
                         if !live.contains(&i) {
-                            bits.push(w.to_bits());
+                            bits.push(layer.weight(o, i).to_bits());
                         }
                     }
                 }
@@ -266,7 +280,13 @@ mod tests {
         assert!(!dead(&before).is_empty());
         assert_eq!(dead(&mlp), dead(&before));
         // The live weights did train.
-        assert_ne!(mlp.layers[0].weights, before.layers[0].weights);
+        let first = |mlp: &Mlp| -> Vec<u32> {
+            let layer = &mlp.layers[0];
+            (0..layer.n_out)
+                .flat_map(|o| (0..layer.n_in).map(move |i| layer.weight(o, i).to_bits()))
+                .collect()
+        };
+        assert_ne!(first(&mlp), first(&before));
     }
 
     #[test]
@@ -278,7 +298,7 @@ mod tests {
             ..MlpConfig::default()
         };
         let mut mlp = Mlp::train(&ds, &cfg);
-        mlp.layers[0].weights[3] = f32::NAN;
+        *mlp.layers[0].weight_mut(0, 3) = f32::NAN;
         prune_to_fanin(&mut mlp, &ds, &cfg, 2);
         assert!(mlp.max_fanin() <= 2);
     }

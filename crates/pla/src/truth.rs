@@ -70,6 +70,27 @@ impl TruthTable {
         t
     }
 
+    /// Builds a table a word at a time: `f(w)` returns word `w`, whose bit
+    /// `b` is the value on minterm `64 * w + b`. Bits past the last minterm
+    /// are ignored.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lsml_pla::TruthTable;
+    ///
+    /// let t = TruthTable::from_word_fn(3, |_| 0b1110_1000);
+    /// assert_eq!(t, TruthTable::from_fn(3, |m| m.count_ones() >= 2));
+    /// ```
+    pub fn from_word_fn(num_vars: usize, mut f: impl FnMut(usize) -> u64) -> Self {
+        let mut t = TruthTable::zeros(num_vars);
+        for (w, word) in t.words.iter_mut().enumerate() {
+            *word = f(w);
+        }
+        t.mask_tail();
+        t
+    }
+
     /// The projection table of input variable `var`.
     ///
     /// # Panics
@@ -241,6 +262,17 @@ impl fmt::Debug for TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_word_fn_matches_from_fn() {
+        let f = |m: u32| (m * 7) % 5 < 2;
+        for nv in [0, 3, 6, 7] {
+            let words = TruthTable::from_word_fn(nv, |w| {
+                (0..64).fold(0, |acc, b| acc | u64::from(f(64 * w as u32 + b)) << b)
+            });
+            assert_eq!(words, TruthTable::from_fn(nv, f), "{nv} vars");
+        }
+    }
 
     #[test]
     fn from_fn_and_get_agree() {
