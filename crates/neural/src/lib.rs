@@ -35,8 +35,8 @@
 //!   inputs runs eight inputs as lanes and sums each in ascending neuron
 //!   order.
 //! * **Enumeration and prediction** run 64 table cells (or dataset patterns)
-//!   as lanes through every layer, through per-layer `[width][64]` buffers;
-//!   one batch of cells is one word of the truth table.
+//!   as lanes through every layer, in two reused `[width][64]` buffers; one
+//!   batch of cells is one word of the truth table.
 //!
 //! A pruned weight is a masked lane, and the mask is derived from the live
 //! lists for each fit. Where a lane is masked, a select keeps the old sum or

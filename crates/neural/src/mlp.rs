@@ -151,6 +151,7 @@ impl Dense {
         self.weights[i * self.blocks() + o / LANES][o % LANES]
     }
 
+    /// Weight `i -> o` for writing, live or not.
     pub(crate) fn weight_mut(&mut self, o: usize, i: usize) -> &mut f32 {
         let b = i * self.blocks() + o / LANES;
         &mut self.weights[b][o % LANES]
