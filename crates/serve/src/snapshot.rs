@@ -304,6 +304,13 @@ mod tests {
         assert!(!d.is_empty());
     }
 
+    /// Pins the on-disk format: a snapshot written by any earlier build
+    /// must keep loading, so the bytes of a fixed sample may never drift.
+    #[test]
+    fn encode_format_is_pinned() {
+        assert_eq!(fnv1a(&sample().encode()), 0xe1d9_7704_8bea_1e8c);
+    }
+
     #[test]
     fn save_load_atomic_and_fault_paths() {
         let dir = std::env::temp_dir().join("lsml-snap-test");

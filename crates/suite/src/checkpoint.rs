@@ -158,6 +158,13 @@ mod tests {
         assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
     }
 
+    /// Pins the on-disk format: a checkpoint written by any earlier build
+    /// must keep resuming, so the bytes of a fixed sample may never drift.
+    #[test]
+    fn encode_format_is_pinned() {
+        assert_eq!(fnv1a(&sample().encode()), 0xbb7b_1e29_9861_14c7);
+    }
+
     #[test]
     fn save_load_and_fault_paths() {
         let dir = std::env::temp_dir().join("lsml-suite-ckpt-test");
