@@ -21,6 +21,8 @@
 //! * [`opt`] — the composable [`Pass`](opt::Pass) /
 //!   [`Pipeline`](opt::Pipeline) layer chaining the exact passes
 //!   (`balance | rewrite | sweep | cleanup`, iterated to fixpoint).
+//! * [`lru`] — the lock-striped, byte-budgeted LRU map behind the
+//!   process-wide compile and fixpoint caches.
 //! * [`approx`] — the random-simulation approximation pass Team 1 used to
 //!   push oversized AIGs under the contest's node limit, now interleaved
 //!   with the exact pipeline (see [`approx::reduce`]).
@@ -51,6 +53,7 @@ pub mod circuits;
 pub mod cut;
 pub mod fxhash;
 pub mod lit;
+pub mod lru;
 pub mod npn;
 pub mod opt;
 pub mod par;

@@ -1,18 +1,30 @@
-//! Model-checked races on the lock-striped, byte-budgeted compile and
-//! fixpoint caches.
+//! Model-checked races on [`ShardedLru`], the lock-striped, weight-budgeted
+//! map behind the compile and fixpoint caches.
 //!
 //! Only built under `RUSTFLAGS="--cfg lsml_loom"` — the CI `model-check`
-//! leg. Uses the `loom_api` surfaces: a *fresh* cache per model body (the
-//! process-wide `OnceLock` caches are not modeled; see the `loom` crate
-//! docs) over the exact same sharded machinery and shadow `Mutex`es the
-//! global caches run on.
+//! leg. Each model body builds a *fresh* `ShardedLru` (the process-wide
+//! `OnceLock` caches are not modeled; see the `loom` crate docs) over the
+//! same stripes and shadow `Mutex`es the global caches run on, set up the
+//! way each cache sets it up: graphs weighed in estimated bytes like the
+//! compile cache, and unit entries of a fixed weight like the fixpoint
+//! cache.
 #![cfg(lsml_loom)]
 
 use loom::{model, thread};
-use lsml_aig::opt::loom_api::{shard_index as fixpoint_shard_index, LoomFixpointCache};
+use lsml_aig::lru::{shard_index, ShardedLru};
 use lsml_aig::Aig;
-use lsml_core::compile::loom_api::{shard_index, LoomCompileCache};
 use std::sync::Arc;
+
+/// The compile cache's shape: graphs weighed by the same footprint
+/// estimate (`num_nodes * 48 + 160` bytes).
+fn compile_lru(budget: usize) -> ShardedLru<Arc<Aig>> {
+    ShardedLru::new(budget, |g: &Arc<Aig>| g.num_nodes() * 48 + 160)
+}
+
+/// The fixpoint cache's shape: unit entries of 64 bytes, `cap` of them.
+fn fixpoint_lru(cap: usize) -> ShardedLru<()> {
+    ShardedLru::new(cap * 64, |_| 64)
+}
 
 /// A pair of keys that land on **distinct** shards (panics if the stripe
 /// hash ever degenerates to a single stripe for small keys).
@@ -40,7 +52,7 @@ fn same_shard_other_key(a: (u128, u64)) -> (u128, u64) {
 
 /// A tiny graph with `ands` AND gates (distinct sizes → distinct entry
 /// footprints, so byte accounting is actually exercised).
-fn tiny_aig(ands: usize) -> Aig {
+fn tiny_aig(ands: usize) -> Arc<Aig> {
     let mut g = Aig::new(2);
     let (a, b) = (g.input(0), g.input(1));
     let mut cur = a;
@@ -49,7 +61,7 @@ fn tiny_aig(ands: usize) -> Aig {
         cur = g.and(cur, !rhs);
     }
     g.add_output(cur);
-    g
+    Arc::new(g)
 }
 
 /// Two threads insert different-size entries under a budget that forces
@@ -60,19 +72,19 @@ fn concurrent_insert_evict_accounting() {
     // Budget fits ~2 tiny entries: the third insert must evict.
     let budget = 900;
     let report = model(move || {
-        let cache = Arc::new(LoomCompileCache::with_budget(budget));
+        let cache = Arc::new(compile_lru(budget));
         let writers: Vec<_> = (0..2)
             .map(|w| {
                 let cache = Arc::clone(&cache);
                 thread::spawn(move || {
                     let g = tiny_aig(2 + w * 3);
-                    cache.insert((w as u128, 0), &g);
+                    cache.insert((w as u128, 0), g);
                     cache.verify().unwrap();
                 })
             })
             .collect();
         let g = tiny_aig(8);
-        cache.insert((99, 0), &g);
+        cache.insert((99, 0), g);
         cache.verify().unwrap();
         let _ = cache.probe((0, 0));
         for t in writers {
@@ -84,7 +96,7 @@ fn concurrent_insert_evict_accounting() {
         // thread's stripe, so `entries == 0` is a legal quiescent state.
         // What must hold is that all 3 distinct inserts are either
         // resident or counted as evicted — never silently lost.
-        let (entries, bytes, evictions) = cache.stats();
+        let (entries, bytes, evictions) = cache.totals();
         assert_eq!(
             entries as u64 + evictions,
             3,
@@ -104,15 +116,18 @@ fn concurrent_insert_evict_accounting() {
 #[test]
 fn insert_lookup_race() {
     let report = model(|| {
-        let cache = Arc::new(LoomCompileCache::with_budget(1 << 20));
+        let cache = Arc::new(compile_lru(1 << 20));
         let reader = {
             let cache = Arc::clone(&cache);
-            thread::spawn(move || cache.probe((7, 7)))
+            thread::spawn(move || cache.probe((7, 7)).is_some())
         };
         let g = tiny_aig(3);
-        cache.insert((7, 7), &g);
+        cache.insert((7, 7), g);
         let _hit_before = reader.join().unwrap();
-        assert!(cache.probe((7, 7)), "inserted entry must be resident");
+        assert!(
+            cache.probe((7, 7)).is_some(),
+            "inserted entry must be resident"
+        );
         cache.verify().unwrap();
     });
     println!(
@@ -126,14 +141,14 @@ fn insert_lookup_race() {
 #[test]
 fn same_key_double_insert_refunds_bytes() {
     let report = model(|| {
-        let cache = Arc::new(LoomCompileCache::with_budget(1 << 20));
+        let cache = Arc::new(compile_lru(1 << 20));
         let writers: Vec<_> = (0..2)
             .map(|w| {
                 let cache = Arc::clone(&cache);
                 thread::spawn(move || {
                     // Different graph sizes under the SAME key.
                     let g = tiny_aig(1 + w * 4);
-                    cache.insert((1, 1), &g);
+                    cache.insert((1, 1), g);
                 })
             })
             .collect();
@@ -141,7 +156,7 @@ fn same_key_double_insert_refunds_bytes() {
             t.join().unwrap();
         }
         cache.verify().unwrap();
-        let (entries, _bytes, _) = cache.stats();
+        let (entries, _bytes, _) = cache.totals();
         assert_eq!(entries, 1);
     });
     println!(
@@ -162,21 +177,21 @@ fn cross_shard_budget_accounting_race() {
     // Roomy enough for one entry, tight enough that two force the sweep.
     let budget = 500;
     let report = model(move || {
-        let cache = Arc::new(LoomCompileCache::with_budget(budget));
+        let cache = Arc::new(compile_lru(budget));
         let writer = {
             let cache = Arc::clone(&cache);
             thread::spawn(move || {
-                cache.insert(kb, &tiny_aig(5));
+                cache.insert(kb, tiny_aig(5));
                 cache.verify().unwrap();
             })
         };
-        cache.insert(ka, &tiny_aig(2));
+        cache.insert(ka, tiny_aig(2));
         cache.verify().unwrap();
         writer.join().unwrap();
         cache.verify().unwrap();
         // Dueling sweeps may legally drain both stripes (each observed the
         // combined total while over budget); conservation must still hold.
-        let (entries, bytes, evictions) = cache.stats();
+        let (entries, bytes, evictions) = cache.totals();
         assert_eq!(
             entries as u64 + evictions,
             2,
@@ -201,22 +216,22 @@ fn concurrent_insert_evict_on_distinct_shards() {
     let ka2 = same_shard_other_key(ka);
     let budget = 700;
     let report = model(move || {
-        let cache = Arc::new(LoomCompileCache::with_budget(budget));
+        let cache = Arc::new(compile_lru(budget));
         let writer = {
             let cache = Arc::clone(&cache);
             thread::spawn(move || {
                 // Two same-stripe inserts: the second one's budget check
                 // can trigger the cross-stripe sweep into ka's shard while
                 // the main thread is inserting there.
-                cache.insert(kb, &tiny_aig(4));
-                cache.insert(same_shard_other_key(kb), &tiny_aig(6));
+                cache.insert(kb, tiny_aig(4));
+                cache.insert(same_shard_other_key(kb), tiny_aig(6));
             })
         };
-        cache.insert(ka, &tiny_aig(2));
-        cache.insert(ka2, &tiny_aig(3));
+        cache.insert(ka, tiny_aig(2));
+        cache.insert(ka2, tiny_aig(3));
         writer.join().unwrap();
         cache.verify().unwrap();
-        let (entries, _bytes, evictions) = cache.stats();
+        let (entries, _bytes, evictions) = cache.totals();
         assert_eq!(
             entries as u64 + evictions,
             4,
@@ -230,9 +245,9 @@ fn concurrent_insert_evict_on_distinct_shards() {
     assert!(report.iterations > 1);
 }
 
-/// The sharded fixpoint cache under concurrent over-capacity inserts:
-/// the shared entry count must track the per-stripe maps exactly and
-/// never exceed the capacity once quiescent.
+/// The fixpoint cache's shape under concurrent over-capacity inserts: the
+/// shared weight must track the per-stripe maps exactly and never exceed
+/// the capacity once quiescent.
 #[test]
 fn fixpoint_cache_concurrent_inserts_respect_capacity() {
     // Keys on at least two stripes.
@@ -241,14 +256,14 @@ fn fixpoint_cache_concurrent_inserts_respect_capacity() {
     keys.push(first);
     for raw in 1..1024u128 {
         let k = (raw, 0u64);
-        if fixpoint_shard_index(k) != fixpoint_shard_index(first) {
+        if shard_index(k) != shard_index(first) {
             keys.push(k);
             break;
         }
     }
     assert_eq!(keys.len(), 2, "need two stripes");
     let report = model(move || {
-        let cache = Arc::new(LoomFixpointCache::with_capacity(2));
+        let cache = Arc::new(fixpoint_lru(2));
         let writer = {
             let cache = Arc::clone(&cache);
             let k = keys[1];
@@ -258,21 +273,22 @@ fn fixpoint_cache_concurrent_inserts_respect_capacity() {
             // cap while another thread races). Byte/count drift is checked
             // mid-race in the compile-cache models; the cap only after join.
             thread::spawn(move || {
-                cache.insert(k);
-                cache.insert((k.0 + 4096, 0));
+                cache.insert(k, ());
+                cache.insert((k.0 + 4096, 0), ());
             })
         };
-        cache.insert(keys[0]);
+        cache.insert(keys[0], ());
         assert!(
-            cache.probe(keys[0]) || {
+            cache.probe(keys[0]).is_some() || {
                 // The racing writer's capacity sweep may have evicted us.
-                let (entries, _) = cache.stats();
+                let (entries, _, _) = cache.totals();
                 entries <= 2
             }
         );
         writer.join().unwrap();
-        cache.verify().unwrap();
-        let (entries, _evictions) = cache.stats();
+        let (_, weight) = cache.verify().unwrap();
+        assert!(weight <= cache.budget(), "{weight} bytes over the cap");
+        let (entries, _weight, _evictions) = cache.totals();
         assert!(entries >= 1 && entries <= 2, "resident {entries}");
     });
     println!(

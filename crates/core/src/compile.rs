@@ -30,10 +30,10 @@
 //! is applied after the fact, so heterogeneous teams share entries.
 //! [`compile_cache_stats`] exposes hit/miss counters (the `rewrite` bench
 //! records cached-vs-uncached compile timings from them). The cache is a
-//! byte-budgeted LRU (`LSML_COMPILE_CACHE_BYTES`, default 256 MiB): when the
-//! estimated footprint outgrows the budget, the least-recently-touched
-//! quarter of the entries is evicted, so unbounded sweeps stay bounded while
-//! the live working set survives.
+//! [`lsml_aig::lru::ShardedLru`] weighed in estimated bytes
+//! (`LSML_COMPILE_CACHE_BYTES`, default 256 MiB): when the footprint
+//! outgrows the budget, the least-recently-touched entries are evicted, so
+//! unbounded sweeps stay bounded while the live working set survives.
 //!
 //! # Batched compilation
 //!
@@ -49,11 +49,10 @@
 //! lets both paths share cache entries.
 
 use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use lsml_aig::approx::{reduce_traced_with, ApproxConfig};
+use lsml_aig::lru::{budget_from_env, ShardedLru};
 use lsml_aig::opt::Pipeline;
 use lsml_aig::sweep::SweepConfig;
 use lsml_aig::{Aig, Lit};
@@ -173,161 +172,9 @@ struct CachedCompile {
     approximated: bool,
 }
 
-/// One LRU slot: the memoized result, its estimated footprint, and the
-/// logical clock of its last touch.
-struct CacheEntry {
-    value: Arc<CachedCompile>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// Lock stripes of the sharded compile cache. A power of two: the shard
-/// index is the top bits of the multiplicatively mixed key hash.
-const COMPILE_SHARDS: usize = 16;
-
-/// The shard a key lives in: both key halves are folded together and
-/// Fibonacci-mixed so structurally close fingerprints spread evenly.
-fn shard_of(key: &(u128, u64)) -> usize {
-    let folded = (key.0 as u64) ^ ((key.0 >> 64) as u64) ^ key.1;
-    (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (COMPILE_SHARDS - 1)
-}
-
-/// The LRU-managed interior of one compile-cache shard. Byte accounting
-/// lives in the owning [`ShardedCompileCache`]'s shared atomic, not here:
-/// shard methods report the byte deltas they caused and the wrapper applies
-/// them, so the budget is enforced across all stripes together.
-#[derive(Default)]
-struct CacheState {
-    map: HashMap<(u128, u64), CacheEntry>,
-    tick: u64,
-    evictions: u64,
-}
-
-/// A lock-striped, byte-budgeted compile cache: [`COMPILE_SHARDS`]
-/// independently locked LRU maps sharing one atomic byte total. Lookups
-/// and inserts for different shards never contend; the byte budget is
-/// global, enforced first against the inserting shard's own LRU tail and —
-/// if the cache is still over budget — by sweeping the other stripes one
-/// lock at a time (never holding two shard locks at once, so lock order
-/// cannot deadlock).
-struct ShardedCompileCache {
-    shards: [Mutex<CacheState>; COMPILE_SHARDS],
-    /// Estimated resident bytes across all shards.
-    bytes: AtomicU64,
-}
-
-impl ShardedCompileCache {
-    fn new() -> ShardedCompileCache {
-        ShardedCompileCache {
-            shards: std::array::from_fn(|_| Mutex::new(CacheState::default())),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// LRU-refreshing lookup in the key's shard.
-    fn probe(&self, key: (u128, u64)) -> Option<Arc<CachedCompile>> {
-        self.shards[shard_of(&key)]
-            .lock()
-            .expect("compile cache shard lock")
-            .probe(key)
-    }
-
-    /// Inserts into the key's shard, then enforces the shared byte budget:
-    /// the inserting shard evicts its least-recently-touched quarter while
-    /// the *global* total exceeds `budget`, and remaining pressure is
-    /// relieved by sweeping the other shards one at a time.
-    fn insert(&self, key: (u128, u64), value: Arc<CachedCompile>, budget: usize) {
-        let idx = shard_of(&key);
-        {
-            let mut st = self.shards[idx].lock().expect("compile cache shard lock");
-            let (added, removed) = st.insert(key, value);
-            self.bytes.fetch_add(added as u64, Ordering::Relaxed);
-            self.bytes.fetch_sub(removed as u64, Ordering::Relaxed);
-            while self.bytes.load(Ordering::Relaxed) > budget as u64 && st.map.len() > 1 {
-                let freed = st.evict_quarter();
-                self.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-            }
-        }
-        // Still over budget: the pressure sits in other stripes. Sweep them
-        // one lock at a time (never two at once), draining a stripe
-        // entirely if need be — only the inserting shard is guaranteed to
-        // keep its newest entry.
-        let mut i = (idx + 1) % COMPILE_SHARDS;
-        while self.bytes.load(Ordering::Relaxed) > budget as u64 && i != idx {
-            let mut st = self.shards[i].lock().expect("compile cache shard lock");
-            while self.bytes.load(Ordering::Relaxed) > budget as u64 && !st.map.is_empty() {
-                let freed = st.evict_quarter();
-                self.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-            }
-            drop(st);
-            i = (i + 1) % COMPILE_SHARDS;
-        }
-    }
-
-    /// Empties every shard (counters keep running).
-    fn clear(&self) {
-        for shard in &self.shards {
-            let mut st = shard.lock().expect("compile cache shard lock");
-            let freed: usize = st.map.values().map(|e| e.bytes).sum();
-            st.map.clear();
-            self.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// `(resident entries, accounted bytes, evictions)` summed over shards.
-    fn totals(&self) -> (usize, usize, u64) {
-        let mut entries = 0usize;
-        let mut evictions = 0u64;
-        for shard in &self.shards {
-            let st = shard.lock().expect("compile cache shard lock");
-            entries += st.map.len();
-            evictions += st.evictions;
-        }
-        (
-            entries,
-            self.bytes.load(Ordering::Relaxed) as usize,
-            evictions,
-        )
-    }
-
-    /// Checks that the byte accounting has not drifted: every entry's
-    /// recorded size must match its graph, and the shared atomic must equal
-    /// the sum over all resident entries. Holds **every** shard lock while
-    /// reading — mutations only ever happen under some shard lock (one at
-    /// a time), so this observes a consistent snapshot even while inserts
-    /// race on other threads, and cannot deadlock.
-    fn verify(&self) -> Result<(), String> {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("compile cache shard lock"))
-            .collect();
-        let mut sum = 0usize;
-        for st in &guards {
-            for (key, e) in &st.map {
-                let expect = entry_bytes(&e.value.aig);
-                if e.bytes != expect {
-                    return Err(format!(
-                        "compile cache entry {key:?} records {} bytes, graph is {expect}",
-                        e.bytes
-                    ));
-                }
-                sum += e.bytes;
-            }
-        }
-        let accounted = self.bytes.load(Ordering::Relaxed) as usize;
-        if sum != accounted {
-            return Err(format!(
-                "compile cache bytes drifted: accounted {accounted} != resident sum {sum}"
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// The process-wide compile cache (see the module docs).
 struct CompileCache {
-    state: ShardedCompileCache,
+    lru: ShardedLru<Arc<CachedCompile>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -339,79 +186,17 @@ fn entry_bytes(aig: &Aig) -> usize {
     aig.num_nodes() * 48 + 160
 }
 
-/// Byte budget for the compile cache, read once from
-/// `LSML_COMPILE_CACHE_BYTES` (generous 256 MiB default — enough for
-/// thousands of contest-sized graphs; long unattended sweeps can dial it
-/// down, servers can raise it). Listed with every other `LSML_*` runtime
-/// knob in the [`lsml_aig::par`] module docs.
-fn compile_cache_budget() -> usize {
-    static BUDGET: OnceLock<usize> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("LSML_COMPILE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&b| b > 0)
-            .unwrap_or(256 << 20)
-    })
-}
-
-impl CacheState {
-    /// Looks up `key`, refreshing its LRU tick on a hit.
-    fn probe(&mut self, key: (u128, u64)) -> Option<Arc<CachedCompile>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|e| {
-            e.tick = tick;
-            Arc::clone(&e.value)
-        })
-    }
-
-    /// Inserts an entry; returns `(added, replaced)` byte deltas for the
-    /// caller's shared accounting. Never evicts — budget enforcement is the
-    /// wrapper's job (it owns the cross-shard byte total).
-    fn insert(&mut self, key: (u128, u64), value: Arc<CachedCompile>) -> (usize, usize) {
-        self.tick += 1;
-        let bytes = entry_bytes(&value.aig);
-        let replaced = self
-            .map
-            .insert(
-                key,
-                CacheEntry {
-                    value,
-                    bytes,
-                    tick: self.tick,
-                },
-            )
-            .map_or(0, |old| old.bytes);
-        (bytes, replaced)
-    }
-
-    /// Evicts the least-recently-touched quarter of this shard in one O(n)
-    /// sweep (a selection, not a sort — eviction stays cheap even when a
-    /// sweep floods the cache); returns the bytes freed.
-    fn evict_quarter(&mut self) -> usize {
-        let mut ticks: Vec<u64> = self.map.values().map(|e| e.tick).collect();
-        let cut = ticks.len() / 4;
-        let (_, &mut threshold, _) = ticks.select_nth_unstable(cut);
-        let before = self.map.len();
-        let mut freed = 0usize;
-        self.map.retain(|_, e| {
-            if e.tick > threshold {
-                true
-            } else {
-                freed += e.bytes;
-                false
-            }
-        });
-        self.evictions += (before - self.map.len()) as u64;
-        freed
-    }
-}
-
 fn cache() -> &'static CompileCache {
     static CACHE: OnceLock<CompileCache> = OnceLock::new();
     CACHE.get_or_init(|| CompileCache {
-        state: ShardedCompileCache::new(),
+        // `LSML_COMPILE_CACHE_BYTES` (listed with every other `LSML_*` knob
+        // in the `lsml_aig::par` docs). The generous 256 MiB default holds
+        // thousands of contest-sized graphs; long unattended sweeps can
+        // dial it down, servers can raise it.
+        lru: ShardedLru::new(
+            budget_from_env("LSML_COMPILE_CACHE_BYTES", 256 << 20),
+            |c: &Arc<CachedCompile>| entry_bytes(&c.aig),
+        ),
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
     })
@@ -447,29 +232,33 @@ pub struct CompileCacheDetail {
 /// the configured byte budget.
 pub fn compile_cache_detail() -> CompileCacheDetail {
     let c = cache();
-    let (entries, bytes, evictions) = c.state.totals();
+    let (entries, bytes, evictions) = c.lru.totals();
     CompileCacheDetail {
         hits: c.hits.load(Ordering::Relaxed),
         misses: c.misses.load(Ordering::Relaxed),
         evictions,
         entries,
         bytes,
-        budget_bytes: compile_cache_budget(),
+        budget_bytes: c.lru.budget(),
     }
 }
 
 /// Empties the compile cache (counters keep running). Benchmarks call this
 /// between cold/warm phases so timings measure compilation, not memoization.
 pub fn compile_cache_clear() {
-    cache().state.clear();
+    cache().lru.clear();
 }
 
 /// Checks the process-wide compile cache's byte accounting: the shared
-/// atomic must equal the sum of the resident entries' recorded sizes over
-/// all shards, and each recorded size must match its graph. Concurrency
-/// stress tests call this between hammer rounds to pin accounting drift.
+/// total must equal the sum of the resident entries' recorded sizes, and
+/// each recorded size must match its graph. Concurrency stress tests call
+/// this between hammer rounds to pin accounting drift.
 pub fn compile_cache_verify() -> Result<(), String> {
-    cache().state.verify()
+    cache()
+        .lru
+        .verify()
+        .map(|_| ())
+        .map_err(|e| format!("compile cache {e}"))
 }
 
 /// One exported compile-cache entry: the cache key plus the memoized result
@@ -485,100 +274,58 @@ pub struct CompileCacheEntry {
     pub approximated: bool,
 }
 
+// `Aig` has no PartialEq/Debug of its own; entries compare graphs by
+// structural fingerprint, which is exactly the identity the cache keys on.
+impl PartialEq for CompileCacheEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.graph_fingerprint == other.graph_fingerprint
+            && self.budget_fingerprint == other.budget_fingerprint
+            && self.approximated == other.approximated
+            && self.aig.structural_fingerprint() == other.aig.structural_fingerprint()
+    }
+}
+
+impl std::fmt::Debug for CompileCacheEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompileCacheEntry")
+            .field("graph_fingerprint", &self.graph_fingerprint)
+            .field("budget_fingerprint", &self.budget_fingerprint)
+            .field("ands", &self.aig.num_ands())
+            .field("approximated", &self.approximated)
+            .finish()
+    }
+}
+
 /// Every resident compile-cache entry, sorted by key (so identical cache
 /// contents export identical snapshots). `lsml-serve` serializes this on
 /// shutdown; pair with [`compile_cache_import`]. Holds one shard lock at a
 /// time, so live traffic keeps flowing while a snapshot is cut.
 pub fn compile_cache_export() -> Vec<CompileCacheEntry> {
-    let mut out = Vec::new();
-    for shard in &cache().state.shards {
-        let st = shard.lock().expect("compile cache shard lock");
-        out.extend(st.map.iter().map(|(key, e)| CompileCacheEntry {
+    cache()
+        .lru
+        .export()
+        .into_iter()
+        .map(|(key, c)| CompileCacheEntry {
             graph_fingerprint: key.0,
             budget_fingerprint: key.1,
-            aig: e.value.aig.clone(),
-            approximated: e.value.approximated,
-        }));
-    }
-    out.sort_unstable_by_key(|e| (e.graph_fingerprint, e.budget_fingerprint));
-    out
+            aig: c.aig.clone(),
+            approximated: c.approximated,
+        })
+        .collect()
 }
 
 /// Re-seeds the compile cache from previously exported entries (a warm boot
 /// from a snapshot). Inserts run through the ordinary byte-budget-enforcing
 /// path, so an oversized snapshot is trimmed exactly like live pressure.
 pub fn compile_cache_import(entries: impl IntoIterator<Item = CompileCacheEntry>) {
-    let budget = compile_cache_budget();
     for e in entries {
         let value = Arc::new(CachedCompile {
             aig: e.aig,
             approximated: e.approximated,
         });
         cache()
-            .state
-            .insert((e.graph_fingerprint, e.budget_fingerprint), value, budget);
-    }
-}
-
-/// Model-check surface (`--cfg lsml_loom` only): a *fresh*, non-global
-/// compile-cache state with an explicit byte budget, so `loom::model`
-/// bodies can explore insert/evict/lookup races from a known initial state
-/// (the process-wide cache behind a `OnceLock` is deliberately not modeled —
-/// see the `loom` crate docs on globals).
-#[cfg(lsml_loom)]
-pub mod loom_api {
-    use super::*;
-
-    /// A private compile cache over the same [`ShardedCompileCache`]
-    /// machinery (same stripes, same shadow `Mutex`es, same shared atomic
-    /// byte total) the process-wide cache uses.
-    pub struct LoomCompileCache {
-        state: ShardedCompileCache,
-        budget: usize,
-    }
-
-    /// The shard a key maps to — lets models pick keys that land on the
-    /// same stripe (lock contention) or distinct stripes (cross-shard
-    /// accounting).
-    pub fn shard_index(key: (u128, u64)) -> usize {
-        shard_of(&key)
-    }
-
-    /// Number of lock stripes.
-    pub const SHARDS: usize = COMPILE_SHARDS;
-
-    impl LoomCompileCache {
-        /// A fresh cache with the given byte budget.
-        pub fn with_budget(budget: usize) -> Self {
-            LoomCompileCache {
-                state: ShardedCompileCache::new(),
-                budget,
-            }
-        }
-
-        /// LRU-refreshing lookup; true on hit.
-        pub fn probe(&self, key: (u128, u64)) -> bool {
-            self.state.probe(key).is_some()
-        }
-
-        /// Insert `aig` under `key`, evicting per the shared byte budget.
-        pub fn insert(&self, key: (u128, u64), aig: &Aig) {
-            let entry = Arc::new(CachedCompile {
-                aig: aig.clone(),
-                approximated: false,
-            });
-            self.state.insert(key, entry, self.budget);
-        }
-
-        /// Byte-accounting check (see [`compile_cache_verify`]).
-        pub fn verify(&self) -> Result<(), String> {
-            self.state.verify()
-        }
-
-        /// `(resident entries, accounted bytes, evictions)` over all shards.
-        pub fn stats(&self) -> (usize, usize, u64) {
-            self.state.totals()
-        }
+            .lru
+            .insert((e.graph_fingerprint, e.budget_fingerprint), value);
     }
 }
 
@@ -677,7 +424,7 @@ fn compile_through_flag(
 ) -> (LearnedCircuit, bool) {
     let aig = aig.extract_cone(aig.outputs());
     let key = (aig.structural_fingerprint(), budget.fingerprint(&pipeline));
-    let cached = cache().state.probe(key);
+    let cached = cache().lru.probe(key);
     if let Some(hit) = cached {
         cache().hits.fetch_add(1, Ordering::Relaxed);
         return (
@@ -715,7 +462,7 @@ fn compile_through_flag(
             aig: result.clone(),
             approximated,
         });
-        cache().state.insert(key, entry, compile_cache_budget());
+        cache().lru.insert(key, entry);
     }
     (labeled(result, approximated, method), approximated)
 }

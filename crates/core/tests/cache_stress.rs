@@ -2,10 +2,11 @@
 //! caches: many std threads hammer insert/lookup/evict simultaneously and
 //! the byte accounting must never drift from the sum of resident entries.
 //!
-//! This is the coarse-grained companion to the exhaustive loom models in
-//! `tests/loom_cache.rs` (built under `--cfg lsml_loom`): loom proves the
-//! invariant over every interleaving of tiny schedules, this test shakes
-//! the real global caches with real contention.
+//! This is the coarse-grained companion to the exhaustive loom models of
+//! the shared `ShardedLru` in `lsml-aig`'s `tests/loom_lru.rs` (built under
+//! `--cfg lsml_loom`): loom proves the invariant over every interleaving
+//! of tiny schedules, this test shakes the real global caches with real
+//! contention.
 
 use lsml_aig::opt::{fixpoint_cache_verify, Pipeline};
 use lsml_aig::Aig;

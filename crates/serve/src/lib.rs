@@ -14,9 +14,10 @@
 //! * [`server`] — the daemon: deadline cancellation at pass boundaries
 //!   (partial-best-so-far for timed-out `SelectBest`), panic isolation at
 //!   the request boundary, graceful drain on SIGTERM.
-//! * [`snapshot`] — crash-safe cache persistence (temp + fsync + atomic
-//!   rename, checksummed); torn or bit-flipped snapshots cold-start, never
-//!   crash.
+//! * [`snapshot`] — crash-safe cache persistence; torn or bit-flipped
+//!   snapshots cold-start, never crash.
+//! * [`durable`] — the checksummed file frame and the temp + fsync + atomic
+//!   rename writer that snapshots and `lsml-suite` checkpoints share.
 //! * [`fault`] — the deterministic fault-injection harness
 //!   (`LSML_FAULT_SEED`) that CI runs the daemon under.
 //! * [`client`] — a blocking client for tests and the bench load generator.
@@ -50,6 +51,7 @@
 //! ```
 
 pub mod client;
+pub mod durable;
 pub mod fault;
 pub mod protocol;
 pub mod queue;

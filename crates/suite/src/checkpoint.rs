@@ -1,11 +1,12 @@
 //! Resumable sweep checkpoints.
 //!
 //! Every N circuits the engine persists `(config fingerprint, cursor,
-//! stats)` in the same crash-safe discipline as PR 9's cache snapshots:
-//! checksummed payload, temp file, `fsync`, atomic rename, directory
-//! `fsync`. Because unit seeds are counter-derived ([`crate::family`]),
-//! the cursor *is* the RNG stream state — nothing else needs saving for a
-//! resumed sweep to be bit-identical to an uninterrupted one.
+//! stats)` through the same sealed frame and crash-safe writer as the
+//! daemon's cache snapshots (`lsml_serve::durable`): checksummed payload,
+//! temp file, `fsync`, atomic rename, directory `fsync`. Because unit
+//! seeds are counter-derived ([`crate::family`]), the cursor *is* the RNG
+//! stream state — nothing else needs saving for a resumed sweep to be
+//! bit-identical to an uninterrupted one.
 //!
 //! Loading never trusts the file: any defect (missing, torn, bit-flipped,
 //! version skew, or a checkpoint from a *different sweep configuration*)
@@ -13,11 +14,11 @@
 //! costs progress, never correctness and never a panic.
 
 use crate::stats::SuiteStats;
+use lsml_serve::durable::{seal, unseal, write_durable};
 use lsml_serve::fault::FaultPlan;
 use lsml_serve::protocol::Wire;
-use lsml_serve::snapshot::fnv1a;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// File magic: "LSML" + "SWP" (sweep) + format generation.
@@ -41,48 +42,19 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes to the on-disk format (header + payload + checksum).
+    /// Serializes to the on-disk format (a sealed payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         payload.extend_from_slice(&self.config_fingerprint.to_le_bytes());
         payload.extend_from_slice(&self.cursor.to_le_bytes());
         self.stats.encode(&mut payload);
-        let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len() + 8);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out
+        seal(MAGIC, VERSION, &payload)
     }
 
     /// Decodes and verifies checkpoint bytes; must never panic on
     /// arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
-        let mut w = Wire::new(bytes);
-        if w.bytes(MAGIC.len())? != MAGIC {
-            return Err("bad magic".into());
-        }
-        let version = w.u32()?;
-        if version != VERSION {
-            return Err(format!("checkpoint version {version}, expected {VERSION}"));
-        }
-        let payload_len = w.u64()? as usize;
-        if w.remaining() != payload_len + 8 {
-            return Err(format!(
-                "torn checkpoint: header says {payload_len}B payload + 8B checksum, file has {}B",
-                w.remaining()
-            ));
-        }
-        let payload = w.bytes(payload_len)?;
-        let want = w.u64()?;
-        let got = fnv1a(payload);
-        if want != got {
-            return Err(format!(
-                "checksum mismatch: stored {want:#x}, computed {got:#x}"
-            ));
-        }
-        let mut p = Wire::new(payload);
+        let mut p = Wire::new(unseal(bytes, MAGIC, VERSION, "checkpoint")?);
         let cp = Checkpoint {
             config_fingerprint: p.u64()?,
             cursor: p.u64()?,
@@ -95,35 +67,13 @@ impl Checkpoint {
     }
 }
 
-/// Writes `cp` to `path` crash-safely (temp + fsync + atomic rename +
-/// directory fsync). The fault plan's snapshot faults apply here too:
-/// `snapshot_corrupt` flips a payload bit (the checksum must catch it on
-/// load), `snapshot_kill_mid_write` abandons a half-written temp file
-/// without renaming (the target name never holds a torn checkpoint).
+/// Writes `cp` to `path` crash-safely ([`write_durable`]). The fault plan's
+/// snapshot faults apply here too: `snapshot_corrupt` flips a payload bit
+/// (the checksum must catch it on load), `snapshot_kill_mid_write` abandons
+/// a half-written temp file without renaming (the target name never holds
+/// a torn checkpoint).
 pub fn save(path: &Path, cp: &Checkpoint, fault: &FaultPlan) -> io::Result<()> {
-    let mut bytes = cp.encode();
-    if fault.snapshot_corrupt && !bytes.is_empty() {
-        let i = bytes.len() / 2;
-        bytes[i] ^= 0x10;
-    }
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        if fault.snapshot_kill_mid_write {
-            f.write_all(&bytes[..bytes.len() / 2])?;
-            return Ok(());
-        }
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    write_durable(path, cp.encode(), fault)
 }
 
 /// Loads a checkpoint, or `None` for *any* failure — missing file, torn
@@ -138,6 +88,7 @@ pub fn load(path: &Path) -> Option<Checkpoint> {
 mod tests {
     use super::*;
     use crate::stats::UnitClass;
+    use lsml_serve::durable::fnv1a;
 
     fn sample() -> Checkpoint {
         let mut stats = SuiteStats::default();

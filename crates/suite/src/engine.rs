@@ -47,8 +47,8 @@ use lsml_core::problem::LearnedCircuit;
 use lsml_core::SizeBudget;
 use lsml_dtree::tree::{DecisionTree, TreeConfig};
 use lsml_pla::{Dataset, Pattern};
+use lsml_serve::durable::fnv1a;
 use lsml_serve::fault::FaultPlan;
-use lsml_serve::snapshot::fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
