@@ -61,7 +61,9 @@ pub fn unseal<'a>(
         return Err(format!("{what} version {found}, expected {version}"));
     }
     let payload_len = w.u64()? as usize;
-    if w.remaining() != payload_len + 8 {
+    // Checked: the length comes from the file, and a wrapped sum could
+    // match a short file.
+    if payload_len.checked_add(8) != Some(w.remaining()) {
         return Err(format!(
             "torn {what}: header says {payload_len}B payload + 8B checksum, file has {}B",
             w.remaining()
@@ -107,4 +109,16 @@ pub fn write_durable(path: &Path, mut bytes: Vec<u8>, fault: &FaultPlan) -> io::
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unseal_rejects_a_length_that_overflows() {
+        let mut bytes = seal(b"LSMLTST1", 1, b"payload");
+        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(unseal(&bytes, b"LSMLTST1", 1, "test file").is_err());
+    }
 }
