@@ -500,12 +500,14 @@ fn worker_loop(shared: &Arc<Shared>) {
             Popped::Job { client, cost, item } => {
                 shared.register(item.serial, item.token.clone());
                 let response = execute(shared, &item);
-                item.out.send(&response);
                 shared.unregister(item.serial);
                 // Completion is unconditional — a panicked request must
-                // still refund its tokens or drain would hang.
+                // still refund its tokens or drain would hang. It precedes
+                // the reply: a lockstep client's next request must find its
+                // tokens refunded, not be shed as over budget.
                 shared.queue.complete(client, cost);
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+                item.out.send(&response);
             }
         }
     }
@@ -727,5 +729,26 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "request panicked".into()
+    }
+}
+
+#[cfg(all(test, not(lsml_loom)))]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    /// A lockstep client has nothing outstanding when it sends its next
+    /// request, so a budget of exactly one op's cost must never shed it.
+    #[test]
+    fn lockstep_client_at_one_op_budget_is_never_shed() {
+        let mut cfg = ServerConfig::for_tests();
+        cfg.client_tokens = Op::Ping.cost();
+        let server = Server::start(cfg).expect("start");
+        let mut c = Client::connect(server.local_addr()).expect("connect");
+        for i in 0..400 {
+            c.ping().unwrap_or_else(|e| panic!("ping {i}: {e}"));
+        }
+        assert_eq!(server.counters().shed.load(Ordering::Relaxed), 0);
+        server.shutdown_and_join();
     }
 }
