@@ -342,7 +342,7 @@ fn semi_canonize_wide(tt: u64) -> SemiNpn {
 /// phase-innermost) serial scan keeps. Because the key is a strict total
 /// order, *any* partition of lanes into chunks merges to the same winner,
 /// which is what makes the multi-worker split bit-identical to the serial
-/// walk (`LSML_PAR_PASSES`; see [`crate::par`]). Lanes whose starting table
+/// walk (see [`crate::par`]). Lanes whose starting table
 /// duplicates an earlier lane's (a vacuous or negation-symmetric variable)
 /// only ever produce higher-ranked copies of the earlier lane's candidates,
 /// so they are dropped up front.

@@ -17,7 +17,6 @@
 //! | Knob | Default | Effect |
 //! |------|---------|--------|
 //! | `LSML_NUM_THREADS` | `available_parallelism()` | Worker count of the process-wide pool (vendored `rayon`). `1` disables the pool: every operation runs strictly inline on the caller. |
-//! | `LSML_PAR_PASSES` | `1` (enabled) | Escape hatch for in-pass parallelism. `0`/`false`/`off` forces cut enumeration, sweep and the NPN lane walk to run serially even when the pool has workers. Output is bit-identical either way. |
 //! | `LSML_FORCE_SCALAR` | unset | Forces the scalar fallback kernels in `lsml-pla` (`kernels` module), bypassing the SIMD dispatch. |
 //! | `LSML_CHECK` | unset | `1` enables the expensive debug verifiers in release builds: AIG invariant sweeps between pipeline passes (`crate::opt`) and CSR audits after cut enumeration (`crate::cut`). |
 //! | `LSML_COMPILE_CACHE_BYTES` | 256 MiB | Byte budget of the process-wide sharded compile cache (`lsml-core`, `compile` module). A positive integer, whitespace allowed; `0` or an unparsable value keeps the default ([`crate::lru::budget_from_env`]). |
@@ -45,24 +44,6 @@
 //! Modules reading a knob link back here; this table is the single place
 //! where defaults are documented.
 
-use loom::sync::OnceLock;
-
-/// Whether in-pass parallel fan-out is allowed (`LSML_PAR_PASSES`, latched
-/// at first call; see the [module docs](self) for the full knob table).
-///
-/// `false` means every pass runs its serial path. `true` means passes *may*
-/// fan out — they still run inline when the pool has a single worker.
-pub fn par_passes_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("LSML_PAR_PASSES") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off")
-        }
-        Err(_) => true,
-    })
-}
-
 #[cfg(test)]
 thread_local! {
     /// Test-only override of [`effective_workers`] (`0` = no override).
@@ -76,8 +57,7 @@ thread_local! {
         const { std::cell::Cell::new(0) };
 }
 
-/// Number of workers a pass may fan out over: `1` when
-/// [`par_passes_enabled`] is off, otherwise the pool width
+/// Number of workers a pass may fan out over: the pool width
 /// (`LSML_NUM_THREADS`; starts the pool on first call).
 pub fn effective_workers() -> usize {
     #[cfg(test)]
@@ -86,9 +66,6 @@ pub fn effective_workers() -> usize {
         if forced != 0 {
             return forced;
         }
-    }
-    if !par_passes_enabled() {
-        return 1;
     }
     rayon::current_num_threads().max(1)
 }
