@@ -48,9 +48,10 @@
 //! adjacent-variable swaps ([`insert_vacuous`]) instead of a per-minterm
 //! rebuild.
 //!
-//! The pre-arena `Vec<Vec<Cut>>` enumeration is retained, behaviorally
-//! identical, as [`enumerate_cuts`] / [`enumerate_cuts_k`] — the
-//! differential-test oracle for the arena (see `tests/cut_npn_props.rs`).
+//! The pre-arena `Vec<Vec<Cut>>` enumeration is kept, behaviorally
+//! identical, as a test-only reference (`enumerate_cuts_k`, compiled only
+//! under `cfg(test)`): the arena tests here and the rewrite tests compare
+//! against it.
 
 use crate::aig::Aig;
 
@@ -194,8 +195,8 @@ pub(crate) fn swap_down(tt: u64, v: usize) -> u64 {
 /// with bit `a` set and bit `b` clear trades places with its mirror).
 /// The NPN lane walk inlines this per-chunk (shared masks across lanes);
 /// kept as the reference primitive for the swap-chain tests.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn swap_vars(tt: u64, a: usize, b: usize) -> u64 {
+#[cfg(test)]
+fn swap_vars(tt: u64, a: usize, b: usize) -> u64 {
     debug_assert!(a < b && b < MAX_LEAVES);
     let shift = (1usize << b) - (1usize << a);
     let up = VAR_TT[a] & !VAR_TT[b]; // a=1, b=0 moves up
@@ -382,6 +383,7 @@ fn merge_fanin_cuts(
 }
 
 /// [`merge_parts`] over owned [`Cut`]s (the reference enumeration).
+#[cfg(test)]
 fn merge(c0: &Cut, c0_compl: bool, c1: &Cut, c1_compl: bool, k: usize) -> Option<Cut> {
     merge_parts(
         c0.leaves(),
@@ -928,10 +930,10 @@ fn fanin_snapshot(aig: &Aig, n: u32) -> (u32, u32) {
 
 /// Reference enumeration returning per-node `Vec<Cut>`s — behaviorally
 /// identical to [`CutArena::enumerate`] (same merge order, dominance
-/// filtering and caps) but allocation-heavy. Kept as the differential-test
-/// oracle; hot paths use the arena.
-#[doc(hidden)]
-pub fn enumerate_cuts_k(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
+/// filtering and caps) but allocation-heavy. The test-only oracle for the
+/// arena.
+#[cfg(test)]
+pub(crate) fn enumerate_cuts_k(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
     let cfg = CutConfig { k, max_cuts }.clamped();
     let mut cuts: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
     for n in 0..aig.num_nodes() as u32 {
@@ -964,7 +966,8 @@ pub fn enumerate_cuts_k(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Cut>> {
 }
 
 /// [`enumerate_cuts_k`] at the full `k = MAX_LEAVES`.
-pub fn enumerate_cuts(aig: &Aig, max_cuts: usize) -> Vec<Vec<Cut>> {
+#[cfg(test)]
+fn enumerate_cuts(aig: &Aig, max_cuts: usize) -> Vec<Vec<Cut>> {
     enumerate_cuts_k(aig, MAX_LEAVES, max_cuts)
 }
 

@@ -30,15 +30,13 @@
 //! one steady-state set of buffers.
 //!
 //! The pre-arena implementation — per-node `Vec<Cut>` sets, fresh buffers
-//! per candidate — is retained as [`rewrite_reference`], the
-//! differential-test oracle (`tests/cut_npn_props.rs` checks the two are
-//! node-identical on random graphs at k = 4 and k = 6).
+//! per candidate — is kept only in the test module, as the reference the
+//! arena path must match node for node on random graphs at k = 4 and k = 6.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use crate::aig::Aig;
-use crate::cut::{enumerate_cuts_k, Cut, CutArena, CutConfig, MAX_LEAVES};
+use crate::cut::{CutArena, CutConfig, MAX_LEAVES};
 use crate::fxhash::FxHashMap;
 use crate::lit::Lit;
 use crate::npn::{LibEntry6, NpnLibrary};
@@ -299,121 +297,6 @@ pub fn rewrite(aig: &Aig, cfg: &RewriteConfig) -> Aig {
     result
 }
 
-/// The pre-arena rewriting pass: identical decision logic over per-node
-/// `Vec<Cut>` sets with freshly allocated candidate buffers. Kept as the
-/// differential-test oracle for [`rewrite`]; prefer the arena path.
-#[doc(hidden)]
-pub fn rewrite_reference(aig: &Aig, cfg: &RewriteConfig) -> Aig {
-    let mut g = aig.clone();
-    g.cleanup();
-    if g.num_ands() == 0 {
-        return g;
-    }
-    let n_nodes = g.num_nodes();
-    let first_and = g.num_inputs() + 1;
-    let cuts: Vec<Vec<Cut>> = enumerate_cuts_k(&g, cfg.cut_size, cfg.max_cuts);
-
-    let mut refs = vec![0u32; n_nodes];
-    for n in first_and..n_nodes {
-        let (f0, f1) = g.fanins(n as u32);
-        refs[f0.node() as usize] += 1;
-        refs[f1.node() as usize] += 1;
-    }
-    for o in g.outputs() {
-        refs[o.node() as usize] += 1;
-    }
-
-    let lib = NpnLibrary::global();
-    let mut lib_cache: HashMap<u64, LibEntry6> = HashMap::new();
-    let mut claimed = vec![false; n_nodes];
-    let mut freed_mark = vec![false; n_nodes];
-    let mut decisions: Vec<Option<Decision>> = vec![None; n_nodes];
-
-    for n in first_and..n_nodes {
-        let root = n as u32;
-        if claimed[n] {
-            continue;
-        }
-        let mut best: Option<(i64, Decision)> = None;
-        for cut in &cuts[n] {
-            if cut.len() == 1 && cut.leaves()[0] == root {
-                continue;
-            }
-            if cut.leaves().iter().any(|&l| claimed[l as usize]) {
-                continue;
-            }
-            let entry = lib_cache
-                .entry(cut.tt)
-                .or_insert_with(|| lib.entry6(cut.tt))
-                .clone();
-            let mut leaf_lits = [Lit::FALSE; MAX_LEAVES];
-            for (i, &l) in cut.leaves().iter().enumerate() {
-                leaf_lits[i] = Lit::new(l, false);
-            }
-            let imap = entry.input_map(&leaf_lits);
-
-            let (mut freed, mut touched) = (Vec::new(), Vec::new());
-            deref_cone_into(&g, root, cut.leaves(), &mut refs, &mut freed, &mut touched);
-            for &f in &freed {
-                freed_mark[f as usize] = true;
-            }
-            let mut vals = Vec::new();
-            let (added, out) = dry_run_into(
-                &g,
-                &entry.structure,
-                &imap,
-                &freed_mark,
-                &claimed,
-                &mut vals,
-            );
-            for &f in &freed {
-                freed_mark[f as usize] = false;
-            }
-            ref_cone(&touched, &mut refs);
-
-            if out.map(|l| l.node()) == Some(root) {
-                continue;
-            }
-            let gain = freed.len() as i64 - added as i64;
-            let acceptable = gain > 0 || (cfg.zero_gain && gain == 0);
-            if acceptable && best.as_ref().is_none_or(|(bg, _)| gain > *bg) {
-                let mut leaves = [0u32; MAX_LEAVES];
-                leaves[..cut.len()].copy_from_slice(cut.leaves());
-                best = Some((
-                    gain,
-                    Decision {
-                        leaves,
-                        len: cut.len() as u8,
-                        entry,
-                    },
-                ));
-            }
-        }
-        if let Some((_, dec)) = best {
-            let (mut freed, mut touched) = (Vec::new(), Vec::new());
-            deref_cone_into(
-                &g,
-                root,
-                &dec.leaves[..dec.len as usize],
-                &mut refs,
-                &mut freed,
-                &mut touched,
-            );
-            for f in freed {
-                claimed[f as usize] = true;
-            }
-            decisions[n] = Some(dec);
-        }
-    }
-
-    let rebuilt = rebuild(&g, &decisions);
-    if rebuilt.num_ands() <= g.num_ands() {
-        rebuilt
-    } else {
-        g
-    }
-}
-
 /// Dereferences the cone of `root` down to the cut leaves: decrements the
 /// fanout count of every non-leaf AND fanin of a dying node, collecting the
 /// nodes whose count reaches zero (plus the root itself) into `freed`.
@@ -592,7 +475,123 @@ fn rebuild(g: &Aig, decisions: &[Option<Decision>]) -> Aig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cut::{enumerate_cuts_k, Cut};
     use crate::testutil::equivalent_exhaustive;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The reference rewriting pass: the decision logic of [`rewrite`] over
+    /// per-node `Vec<Cut>` sets with freshly allocated candidate buffers.
+    fn rewrite_reference(aig: &Aig, cfg: &RewriteConfig) -> Aig {
+        let mut g = aig.clone();
+        g.cleanup();
+        if g.num_ands() == 0 {
+            return g;
+        }
+        let n_nodes = g.num_nodes();
+        let first_and = g.num_inputs() + 1;
+        let cuts: Vec<Vec<Cut>> = enumerate_cuts_k(&g, cfg.cut_size, cfg.max_cuts);
+
+        let mut refs = vec![0u32; n_nodes];
+        for n in first_and..n_nodes {
+            let (f0, f1) = g.fanins(n as u32);
+            refs[f0.node() as usize] += 1;
+            refs[f1.node() as usize] += 1;
+        }
+        for o in g.outputs() {
+            refs[o.node() as usize] += 1;
+        }
+
+        let lib = NpnLibrary::global();
+        let mut lib_cache: HashMap<u64, LibEntry6> = HashMap::new();
+        let mut claimed = vec![false; n_nodes];
+        let mut freed_mark = vec![false; n_nodes];
+        let mut decisions: Vec<Option<Decision>> = vec![None; n_nodes];
+
+        for n in first_and..n_nodes {
+            let root = n as u32;
+            if claimed[n] {
+                continue;
+            }
+            let mut best: Option<(i64, Decision)> = None;
+            for cut in &cuts[n] {
+                if cut.len() == 1 && cut.leaves()[0] == root {
+                    continue;
+                }
+                if cut.leaves().iter().any(|&l| claimed[l as usize]) {
+                    continue;
+                }
+                let entry = lib_cache
+                    .entry(cut.tt)
+                    .or_insert_with(|| lib.entry6(cut.tt))
+                    .clone();
+                let mut leaf_lits = [Lit::FALSE; MAX_LEAVES];
+                for (i, &l) in cut.leaves().iter().enumerate() {
+                    leaf_lits[i] = Lit::new(l, false);
+                }
+                let imap = entry.input_map(&leaf_lits);
+
+                let (mut freed, mut touched) = (Vec::new(), Vec::new());
+                deref_cone_into(&g, root, cut.leaves(), &mut refs, &mut freed, &mut touched);
+                for &f in &freed {
+                    freed_mark[f as usize] = true;
+                }
+                let mut vals = Vec::new();
+                let (added, out) = dry_run_into(
+                    &g,
+                    &entry.structure,
+                    &imap,
+                    &freed_mark,
+                    &claimed,
+                    &mut vals,
+                );
+                for &f in &freed {
+                    freed_mark[f as usize] = false;
+                }
+                ref_cone(&touched, &mut refs);
+
+                if out.map(|l| l.node()) == Some(root) {
+                    continue;
+                }
+                let gain = freed.len() as i64 - added as i64;
+                let acceptable = gain > 0 || (cfg.zero_gain && gain == 0);
+                if acceptable && best.as_ref().is_none_or(|(bg, _)| gain > *bg) {
+                    let mut leaves = [0u32; MAX_LEAVES];
+                    leaves[..cut.len()].copy_from_slice(cut.leaves());
+                    best = Some((
+                        gain,
+                        Decision {
+                            leaves,
+                            len: cut.len() as u8,
+                            entry,
+                        },
+                    ));
+                }
+            }
+            if let Some((_, dec)) = best {
+                let (mut freed, mut touched) = (Vec::new(), Vec::new());
+                deref_cone_into(
+                    &g,
+                    root,
+                    &dec.leaves[..dec.len as usize],
+                    &mut refs,
+                    &mut freed,
+                    &mut touched,
+                );
+                for f in freed {
+                    claimed[f as usize] = true;
+                }
+                decisions[n] = Some(dec);
+            }
+        }
+
+        let rebuilt = rebuild(&g, &decisions);
+        if rebuilt.num_ands() <= g.num_ands() {
+            rebuilt
+        } else {
+            g
+        }
+    }
 
     /// A deadline firing inside the node loop stops decision-making early;
     /// the decisions already made still rebuild to an equivalent graph.
@@ -759,6 +758,85 @@ mod tests {
                 b.structural_fingerprint(),
                 "arena and reference rewrites diverged"
             );
+        }
+        arena_rewrite_is_node_identical_to_reference();
+    }
+
+    /// A recipe for building a random AIG: a list of gate ops over existing
+    /// lits.
+    #[derive(Clone, Debug)]
+    enum Op {
+        And(u8, bool, u8, bool),
+        Xor(u8, bool, u8, bool),
+        Mux(u8, u8, u8),
+    }
+
+    fn arb_ops(n: usize) -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (any::<u8>(), any::<bool>(), any::<u8>(), any::<bool>())
+                    .prop_map(|(a, ca, b, cb)| Op::And(a, ca, b, cb)),
+                (any::<u8>(), any::<bool>(), any::<u8>(), any::<bool>())
+                    .prop_map(|(a, ca, b, cb)| Op::Xor(a, ca, b, cb)),
+                (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(s, t, e)| Op::Mux(s, t, e)),
+            ],
+            1..n,
+        )
+    }
+
+    /// Folds `ops` into a 6-input AIG with two outputs: the last literal
+    /// and the complement of the middle one.
+    fn build(ops: &[Op]) -> Aig {
+        let mut g = Aig::new(6);
+        let mut lits: Vec<Lit> = g.inputs();
+        for op in ops {
+            let pick = |i: u8, lits: &[Lit]| lits[i as usize % lits.len()];
+            let l = match *op {
+                Op::And(a, ca, b, cb) => {
+                    let x = pick(a, &lits).complement_if(ca);
+                    let y = pick(b, &lits).complement_if(cb);
+                    g.and(x, y)
+                }
+                Op::Xor(a, ca, b, cb) => {
+                    let x = pick(a, &lits).complement_if(ca);
+                    let y = pick(b, &lits).complement_if(cb);
+                    g.xor(x, y)
+                }
+                Op::Mux(s, t, e) => {
+                    let sv = pick(s, &lits);
+                    let tv = pick(t, &lits);
+                    let ev = pick(e, &lits);
+                    g.mux(sv, tv, ev)
+                }
+            };
+            lits.push(l);
+        }
+        g.add_output(*lits.last().expect("at least one literal"));
+        g.add_output(!lits[lits.len() / 2]);
+        g
+    }
+
+    // Random graphs for the test above, at both cut sizes, with and
+    // without zero-gain replacements. The function name seeds the case
+    // stream.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        fn arena_rewrite_is_node_identical_to_reference(ops in arb_ops(40)) {
+            let g = build(&ops);
+            for cut_size in [4usize, 6] {
+                for zero_gain in [false, true] {
+                    let cfg = RewriteConfig { zero_gain, cut_size, ..RewriteConfig::default() };
+                    let a = rewrite(&g, &cfg);
+                    let b = rewrite_reference(&g, &cfg);
+                    prop_assert_eq!(
+                        a.structural_fingerprint(),
+                        b.structural_fingerprint(),
+                        "k={} zero_gain={}: arena {:?} vs reference {:?}",
+                        cut_size, zero_gain, a, b
+                    );
+                }
+            }
         }
     }
 

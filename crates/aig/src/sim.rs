@@ -332,7 +332,7 @@ mod tests {
         let y = g.and(ins[0], x);
         g.add_output(y);
         let mut rng = StdRng::seed_from_u64(21);
-        for n in [0usize, 1, 64, 67, 200] {
+        for n in [0usize, 1, 64, 67, 200, 1000] {
             let mut ds = Dataset::new(5);
             for _ in 0..n {
                 ds.push(Pattern::random(&mut rng, 5), rng.gen());
@@ -344,10 +344,10 @@ mod tests {
                 let got = (packed[k / 64] >> (k % 64)) & 1 == 1;
                 assert_eq!(got, want, "example {k} of {n}");
             }
-            // Accuracy path agrees with the row-major scalar one.
+            // Accuracy path agrees bitwise with the row-major scalar one.
             let acc_cols = accuracy_columns(&g, &cols);
             let acc_rows = ds.accuracy_of_slice(&row);
-            assert!((acc_cols - acc_rows).abs() < 1e-12);
+            assert_eq!(acc_cols.to_bits(), acc_rows.to_bits(), "accuracy of {n}");
         }
     }
 

@@ -6,13 +6,13 @@
 //! * the semi-canonical NPN form maps every function of a class to the
 //!   same key as the exact canonizer at ≤ 4 inputs, and its recorded
 //!   transform is always valid;
-//! * the arena-backed rewrite produces node-identical results to the
-//!   retained `Vec`-based reference implementation on random AIGs.
+//! * the arena's CSR layout and the rewritten graphs satisfy their
+//!   structural verifiers, and k = 6 rewriting preserves semantics.
 
 use lsml_aig::aig::Aig;
 use lsml_aig::cut::{eval_cut, CutArena, CutConfig};
 use lsml_aig::npn::{apply, apply6, broadcast16, canonize, semi_canonize, NpnTransform};
-use lsml_aig::rewrite::{rewrite, rewrite_reference, RewriteConfig};
+use lsml_aig::rewrite::{rewrite, RewriteConfig};
 use lsml_aig::sim::eval_patterns_multi;
 use lsml_aig::Lit;
 use lsml_pla::Pattern;
@@ -160,27 +160,6 @@ proptest! {
         let semi = semi_canonize(tt);
         prop_assert_eq!(apply6(tt, &semi.transform), semi.key);
         prop_assert_eq!(semi_canonize(semi.key).key, semi.key);
-    }
-
-    /// The arena-backed rewrite is node-identical to the Vec-based
-    /// reference implementation, at both cut sizes and with and without
-    /// zero-gain replacements.
-    #[test]
-    fn arena_rewrite_is_node_identical_to_reference(ops in arb_ops(40)) {
-        let g = build(&ops, NARROW);
-        for cut_size in [4usize, 6] {
-            for zero_gain in [false, true] {
-                let cfg = RewriteConfig { zero_gain, cut_size, ..RewriteConfig::default() };
-                let a = rewrite(&g, &cfg);
-                let b = rewrite_reference(&g, &cfg);
-                prop_assert_eq!(
-                    a.structural_fingerprint(),
-                    b.structural_fingerprint(),
-                    "k={} zero_gain={}: arena {:?} vs reference {:?}",
-                    cut_size, zero_gain, a, b
-                );
-            }
-        }
     }
 
     /// The arena's CSR layout verifier holds after cold, warm-incremental

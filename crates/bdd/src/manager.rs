@@ -1,4 +1,9 @@
 //! The BDD manager: unique table, apply, restrict-style minimization.
+//!
+//! Datasets enter through the columnar [`BddManager::from_dataset`]. The
+//! row-major construction it replaced (one minterm BDD per row, OR-ed in)
+//! is kept only in the test module, as the reference it must match node
+//! for node.
 
 use std::collections::HashMap;
 
@@ -261,13 +266,13 @@ impl BddManager {
     ///
     /// Construction is *columnar*: instead of building one minterm BDD per
     /// row and OR-ing them together (quadratic apply-cache churn), the
-    /// dataset's cached [`BitColumns`] transpose is cofactored top-down —
-    /// the example subset reaching each recursion is a packed mask, split
-    /// by the current variable's column with one `AND`/`ANDNOT` pass, and a
-    /// leaf is positive iff `|mask ∧ labels| > 0` (one popcount). BDDs are
-    /// canonical per manager, so the result is node-for-node identical to
-    /// the row-major construction (retained as
-    /// [`BddManager::from_dataset_row_major`]).
+    /// dataset's cached [`BitColumns`](lsml_pla::BitColumns) transpose is
+    /// cofactored top-down — the example subset reaching each recursion is
+    /// a packed mask, split by the current variable's column with one
+    /// `AND`/`ANDNOT` pass, and a leaf is positive iff `|mask ∧ labels| > 0`
+    /// (one popcount). BDDs are canonical per manager, so the result is
+    /// node-for-node identical to the row-major construction, which the
+    /// test module keeps as a reference.
     ///
     /// # Panics
     ///
@@ -283,23 +288,6 @@ impl BddManager {
         // `num_vars`, so at most two live buffers per level.
         let mut pool: Vec<Vec<u64>> = Vec::new();
         self.cofactor_build(&cols, &mask, 0, &mut pool)
-    }
-
-    /// The pre-columnar construction: one minterm BDD per row, OR-ed in
-    /// dataset order. Kept as the reference for differential tests and the
-    /// `kernels` benchmark baseline; prefer [`BddManager::from_dataset`].
-    #[doc(hidden)]
-    pub fn from_dataset_row_major(&mut self, ds: &Dataset) -> (BddRef, BddRef) {
-        let mut onset = BDD_FALSE;
-        let mut care = BDD_FALSE;
-        for (p, o) in ds.iter() {
-            let m = self.minterm(p);
-            care = self.or(care, m);
-            if o {
-                onset = self.or(onset, m);
-            }
-        }
-        (onset, care)
     }
 
     /// Shannon-expands the example subset in `mask` on variable `var`,
@@ -490,6 +478,25 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference construction: one minterm BDD per row, OR-ed in
+    /// dataset order.
+    fn from_dataset_row_major(mgr: &mut BddManager, ds: &Dataset) -> (BddRef, BddRef) {
+        let mut onset = BDD_FALSE;
+        let mut care = BDD_FALSE;
+        for (p, o) in ds.iter() {
+            let m = mgr.minterm(p);
+            care = mgr.or(care, m);
+            if o {
+                onset = mgr.or(onset, m);
+            }
+        }
+        (onset, care)
+    }
 
     fn exhaustive_check(mgr: &BddManager, f: BddRef, nv: usize, expect: impl Fn(u64) -> bool) {
         for m in 0..(1u64 << nv) {
@@ -629,14 +636,54 @@ mod tests {
                 ds.push(Pattern::from_index(x, nv), (x * 31 + salt) % 7 < 3);
             }
             let mut mgr = BddManager::new(nv);
-            let (on_rows, care_rows) = mgr.from_dataset_row_major(&ds);
+            let (on_rows, care_rows) = from_dataset_row_major(&mut mgr, &ds);
             let (on_cols, care_cols) = mgr.from_dataset(&ds);
             assert_eq!(on_cols, on_rows, "onset diverges at nv={nv}");
             assert_eq!(care_cols, care_rows, "careset diverges at nv={nv}");
         }
+        // 1000 random rows over 32 inputs: 16-word masks.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut ds = Dataset::new(32);
+        for _ in 0..1000 {
+            let p = Pattern::random(&mut rng, 32);
+            let label = (p.get(0) ^ p.get(7)) || (p.get(3) && p.get(19)) || rng.gen_bool(0.05);
+            ds.push(p, label);
+        }
+        let mut mgr = BddManager::new(32);
+        let rows = from_dataset_row_major(&mut mgr, &ds);
+        assert_eq!(mgr.from_dataset(&ds), rows, "1000x32 corpus diverges");
         // Empty dataset: both constant false.
         let mut mgr = BddManager::new(3);
         assert_eq!(mgr.from_dataset(&Dataset::new(3)), (BDD_FALSE, BDD_FALSE));
+        columnar_from_dataset_is_node_identical();
+    }
+
+    // Random sampled care sets for the test above, with duplicated and
+    // contradictory rows. The function name seeds the case stream.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        fn columnar_from_dataset_is_node_identical(seed in any::<u64>(), n in 1usize..60) {
+            const NV: usize = 6;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut minterms: Vec<u64> = (0..(1u64 << NV)).collect();
+            minterms.shuffle(&mut rng);
+            let mut ds = Dataset::new(NV);
+            for &m in minterms.iter().take(n) {
+                ds.push(Pattern::from_index(m, NV), (m.wrapping_mul(seed | 3)) % 3 == 0);
+                if m % 5 == 0 {
+                    // Duplicate row, sometimes with the opposite label: the
+                    // onset is an OR of positives, so both constructions
+                    // must treat it identically.
+                    ds.push(Pattern::from_index(m, NV), (m.wrapping_mul(seed | 3)) % 2 == 0);
+                }
+            }
+            let mut mgr = BddManager::new(NV);
+            let (on_rows, care_rows) = from_dataset_row_major(&mut mgr, &ds);
+            let (on_cols, care_cols) = mgr.from_dataset(&ds);
+            prop_assert_eq!(on_cols, on_rows);
+            prop_assert_eq!(care_cols, care_rows);
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! Kernel-layer benchmarks: scalar vs best-SIMD per popcount kernel, the
-//! espresso/BDD columnar scans vs their retained row-major baselines on the
-//! 1000×32 acceptance corpus, and an end-to-end learner timing on the same
-//! corpus.
+//! Kernel-layer benchmarks: scalar vs best-SIMD per popcount kernel, and an
+//! end-to-end learner timing on a 1000×32 corpus.
 //!
 //! Besides printing criterion timings, the harness writes the measurements
 //! and speedups to `BENCH_kernels.json` at the repository root. When the
@@ -9,9 +7,7 @@
 //! records scalar-vs-scalar parity instead of a speedup claim.
 
 use criterion::Criterion;
-use lsml_bdd::BddManager;
 use lsml_dtree::{GradientBoost, GradientBoostConfig};
-use lsml_espresso::{minimize_dataset, minimize_dataset_row_major, EspressoConfig};
 use lsml_pla::kernels::{self, Backend};
 use lsml_pla::{Dataset, Pattern};
 use rand::rngs::StdRng;
@@ -68,23 +64,6 @@ fn main() {
         );
     }
 
-    let ds = dataset();
-    let cfg = EspressoConfig {
-        first_irredundant: true,
-        ..EspressoConfig::default()
-    };
-    assert_eq!(
-        minimize_dataset(&ds, &cfg).cubes(),
-        minimize_dataset_row_major(&ds, &cfg).cubes(),
-        "espresso columnar/row covers diverge"
-    );
-    {
-        let mut mgr = BddManager::new(INPUTS);
-        let rows = mgr.from_dataset_row_major(&ds);
-        let cols = mgr.from_dataset(&ds);
-        assert_eq!(rows, cols, "bdd columnar/row refs diverge");
-    }
-
     let mut crit = Criterion::default().sample_size(20);
 
     // --- Per-kernel scalar vs every available backend. ---
@@ -105,27 +84,8 @@ fn main() {
         });
     }
 
-    // --- Espresso and BDD: columnar vs row-major on the 1000×32 corpus. ---
-    crit.bench_function("kernels/espresso/rows_1000x32", |bch| {
-        bch.iter(|| minimize_dataset_row_major(&ds, &cfg))
-    });
-    crit.bench_function("kernels/espresso/columns_1000x32", |bch| {
-        bch.iter(|| minimize_dataset(&ds, &cfg))
-    });
-    crit.bench_function("kernels/bdd_from_dataset/rows_1000x32", |bch| {
-        bch.iter(|| {
-            let mut mgr = BddManager::new(INPUTS);
-            mgr.from_dataset_row_major(&ds)
-        })
-    });
-    crit.bench_function("kernels/bdd_from_dataset/columns_1000x32", |bch| {
-        bch.iter(|| {
-            let mut mgr = BddManager::new(INPUTS);
-            mgr.from_dataset(&ds)
-        })
-    });
-
     // --- End-to-end learner on the corpus (boosted trees, bit-sliced). ---
+    let ds = dataset();
     let gb_cfg = GradientBoostConfig {
         n_rounds: 10,
         max_depth: 4,
@@ -162,13 +122,6 @@ fn main() {
             if i + 1 == kernel_names.len() { "" } else { "," }
         ));
     }
-    let espresso_speedup =
-        ns("kernels/espresso/rows_1000x32") / ns("kernels/espresso/columns_1000x32");
-    let bdd_speedup = ns("kernels/bdd_from_dataset/rows_1000x32")
-        / ns("kernels/bdd_from_dataset/columns_1000x32");
-    println!("espresso columnar speedup (rows/columns): {espresso_speedup:.2}x");
-    println!("bdd from_dataset columnar speedup (rows/columns): {bdd_speedup:.2}x");
-
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -198,7 +151,7 @@ fn main() {
         );
     }
     json.push_str(&format!(
-        "  \"best_kernel_speedup\": {best_kernel_speedup:.2},\n  \"espresso_columnar_speedup\": {espresso_speedup:.2},\n  \"bdd_columnar_speedup\": {bdd_speedup:.2},\n  \"examples\": {EXAMPLES},\n  \"inputs\": {INPUTS}\n}}\n"
+        "  \"best_kernel_speedup\": {best_kernel_speedup:.2},\n  \"examples\": {EXAMPLES},\n  \"inputs\": {INPUTS}\n}}\n"
     ));
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     std::fs::write(out, json).expect("write BENCH_kernels.json");

@@ -20,9 +20,9 @@
 //! CI fails) otherwise.
 //!
 //! Thread scaling: the pool latches `LSML_NUM_THREADS` at first use, so
-//! (as `BENCH_pool.json` does) the k = 6 learner-corpus sweep re-executes
-//! this binary as a child process per thread count — 1, 2 and the default
-//! width — recording each leg's wall-clock into `BENCH_rewrite.json`. Two
+//! the k = 6 learner-corpus sweep re-executes this binary as a child
+//! process per thread count — 1, 2 and the default width — recording each
+//! leg's wall-clock into `BENCH_rewrite.json`. Two
 //! more guards ride on the sweep: per-circuit AND counts must be
 //! bit-identical across every leg (parallel passes are a throughput knob,
 //! never a semantics knob — see `lsml_aig::par`), and the default-width

@@ -5,6 +5,10 @@
 //! trees whose leaf values are quantized to one bit and aggregated by a
 //! 3-layer network of 5-input majority gates (125 = 5³), reproducing Team
 //! 7's implementation of an efficient AIG for the boosted ensemble.
+//!
+//! Split search is bit-sliced over the dataset's cached columns. A
+//! row-major reference trainer, kept only in the test module, checks it
+//! bitwise.
 
 use lsml_aig::{circuits, Aig, Lit};
 use lsml_pla::{BitColumns, Dataset, Pattern};
@@ -121,24 +125,42 @@ impl GradientBoost {
     /// is a packed mask over the dataset's cached [`BitColumns`], the
     /// per-feature ⟨grad, hess⟩ sums gather over the set bits of
     /// `mask ∧ column`, and the candidate-feature scan fans out over
-    /// `rayon::join`. The result is bitwise identical to the retained
-    /// row-major reference ([`GradientBoost::train_row_major`]): both visit
-    /// examples in ascending order, so every floating-point accumulation
-    /// happens in the same order.
+    /// `rayon::join`. Examples are visited in ascending order, so every
+    /// floating-point accumulation happens in the same order as a row-by-row
+    /// scan.
     pub fn train(ds: &Dataset, cfg: &GradientBoostConfig) -> Self {
-        Self::train_impl(ds, cfg, true)
+        let cols = ds.bit_columns();
+        // Mask buffers survive across rounds: the grower checks them out of
+        // this pool instead of allocating fresh `Vec<u64>`s per node.
+        let mut scratch: Vec<Vec<u64>> = Vec::new();
+        let mut root_mask: Vec<u64> = Vec::new();
+        Self::boost(ds, cfg, |grad, hess| {
+            cols.full_mask_into(&mut root_mask);
+            let mut builder = RegBuilder {
+                cols: &cols,
+                grad,
+                hess,
+                cfg,
+                nodes: Vec::new(),
+                scratch: std::mem::take(&mut scratch),
+            };
+            let root = builder.grow(&root_mask, ds.len() as u64, 0);
+            scratch = builder.scratch;
+            RegTree {
+                nodes: builder.nodes,
+                root,
+            }
+        })
     }
 
-    /// The pre-columnar trainer: row-by-row `Pattern::get` scans per
-    /// candidate feature. Kept as the reference implementation for
-    /// differential tests and the `pool` benchmark baseline; prefer
-    /// [`GradientBoost::train`].
-    #[doc(hidden)]
-    pub fn train_row_major(ds: &Dataset, cfg: &GradientBoostConfig) -> Self {
-        Self::train_impl(ds, cfg, false)
-    }
-
-    fn train_impl(ds: &Dataset, cfg: &GradientBoostConfig, columnar: bool) -> Self {
+    /// The boosting rounds: per-example gradients and hessians of the
+    /// logistic loss, one regression tree from `grow_tree` per round, and
+    /// the shrunken margin update.
+    fn boost(
+        ds: &Dataset,
+        cfg: &GradientBoostConfig,
+        mut grow_tree: impl FnMut(&[f64], &[f64]) -> RegTree,
+    ) -> Self {
         let n = ds.len();
         let prior = ds.positive_rate().clamp(1e-6, 1.0 - 1e-6);
         let base_score = (prior / (1.0 - prior)).ln();
@@ -146,13 +168,6 @@ impl GradientBoost {
         let mut trees = Vec::with_capacity(cfg.n_rounds);
         let mut grad = vec![0.0f64; n];
         let mut hess = vec![0.0f64; n];
-        // Only the bit-sliced path reads the transpose; the row-major
-        // reference must not pay (or warm) the cache it exists to baseline.
-        let cols = columnar.then(|| ds.bit_columns());
-        // Mask buffers survive across rounds: the grower checks them out of
-        // this pool instead of allocating fresh `Vec<u64>`s per node.
-        let mut scratch: Vec<Vec<u64>> = Vec::new();
-        let mut root_mask: Vec<u64> = Vec::new();
 
         for _ in 0..cfg.n_rounds {
             for i in 0..n {
@@ -161,37 +176,7 @@ impl GradientBoost {
                 grad[i] = p - y;
                 hess[i] = (p * (1.0 - p)).max(1e-16);
             }
-            let tree = if let Some(cols) = &cols {
-                cols.full_mask_into(&mut root_mask);
-                let mut builder = RegBuilder {
-                    cols,
-                    grad: &grad,
-                    hess: &hess,
-                    cfg,
-                    nodes: Vec::new(),
-                    scratch: std::mem::take(&mut scratch),
-                };
-                let root = builder.grow(&root_mask, n as u64, 0);
-                scratch = builder.scratch;
-                RegTree {
-                    nodes: builder.nodes,
-                    root,
-                }
-            } else {
-                let indices: Vec<u32> = (0..n as u32).collect();
-                let mut builder = RegBuilderRows {
-                    ds,
-                    grad: &grad,
-                    hess: &hess,
-                    cfg,
-                    nodes: Vec::new(),
-                };
-                let root = builder.grow(&indices, 0);
-                RegTree {
-                    nodes: builder.nodes,
-                    root,
-                }
-            };
+            let tree = grow_tree(&grad, &hess);
             for (i, s) in scores.iter_mut().enumerate() {
                 *s += cfg.learning_rate * tree.score(ds.pattern(i));
             }
@@ -418,79 +403,100 @@ impl RegBuilder<'_> {
     }
 }
 
-/// The retained row-major builder (see
-/// [`GradientBoost::train_row_major`]): per-example `Pattern::get` scans,
-/// subsets as sorted index slices.
-struct RegBuilderRows<'a> {
-    ds: &'a Dataset,
-    grad: &'a [f64],
-    hess: &'a [f64],
-    cfg: &'a GradientBoostConfig,
-    nodes: Vec<RegNode>,
-}
-
-impl RegBuilderRows<'_> {
-    fn grow(&mut self, subset: &[u32], depth: usize) -> u32 {
-        let g: f64 = subset.iter().map(|&i| self.grad[i as usize]).sum();
-        let h: f64 = subset.iter().map(|&i| self.hess[i as usize]).sum();
-        let leaf = |nodes: &mut Vec<RegNode>| {
-            nodes.push(RegNode::Leaf {
-                value: -g / (h + self.cfg.lambda),
-            });
-            (nodes.len() - 1) as u32
-        };
-        if depth >= self.cfg.max_depth || subset.len() < 2 {
-            return leaf(&mut self.nodes);
-        }
-        let parent_obj = g * g / (h + self.cfg.lambda);
-        let mut best: Option<(usize, f64)> = None;
-        for f in 0..self.ds.num_inputs() {
-            let mut gh = 0.0;
-            let mut hh = 0.0;
-            for &i in subset {
-                if self.ds.pattern(i as usize).get(f) {
-                    gh += self.grad[i as usize];
-                    hh += self.hess[i as usize];
-                }
-            }
-            let gl = g - gh;
-            let hl = h - hh;
-            if hh < self.cfg.min_child_weight || hl < self.cfg.min_child_weight {
-                continue;
-            }
-            let gain = 0.5
-                * (gl * gl / (hl + self.cfg.lambda) + gh * gh / (hh + self.cfg.lambda)
-                    - parent_obj)
-                - self.cfg.gamma;
-            if gain > 1e-12 && best.is_none_or(|(_, bg)| gain > bg) {
-                best = Some((f, gain));
-            }
-        }
-        let Some((feature, _)) = best else {
-            return leaf(&mut self.nodes);
-        };
-        let (lo_set, hi_set): (Vec<u32>, Vec<u32>) = subset
-            .iter()
-            .partition(|&&i| !self.ds.pattern(i as usize).get(feature));
-        if lo_set.is_empty() || hi_set.is_empty() {
-            return leaf(&mut self.nodes);
-        }
-        let lo = self.grow(&lo_set, depth + 1);
-        let hi = self.grow(&hi_set, depth + 1);
-        self.nodes.push(RegNode::Split {
-            feature: feature as u32,
-            lo,
-            hi,
-        });
-        (self.nodes.len() - 1) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The reference trainer: the production boosting rounds with the
+    /// pre-columnar split search (row-by-row `Pattern::get` scans per
+    /// candidate feature).
+    fn train_row_major(ds: &Dataset, cfg: &GradientBoostConfig) -> GradientBoost {
+        let indices: Vec<u32> = (0..ds.len() as u32).collect();
+        GradientBoost::boost(ds, cfg, |grad, hess| {
+            let mut builder = RegBuilderRows {
+                ds,
+                grad,
+                hess,
+                cfg,
+                nodes: Vec::new(),
+            };
+            let root = builder.grow(&indices, 0);
+            RegTree {
+                nodes: builder.nodes,
+                root,
+            }
+        })
+    }
+
+    /// The row-major reference builder behind [`train_row_major`]:
+    /// per-example `Pattern::get` scans, subsets as sorted index slices.
+    struct RegBuilderRows<'a> {
+        ds: &'a Dataset,
+        grad: &'a [f64],
+        hess: &'a [f64],
+        cfg: &'a GradientBoostConfig,
+        nodes: Vec<RegNode>,
+    }
+
+    impl RegBuilderRows<'_> {
+        fn grow(&mut self, subset: &[u32], depth: usize) -> u32 {
+            let g: f64 = subset.iter().map(|&i| self.grad[i as usize]).sum();
+            let h: f64 = subset.iter().map(|&i| self.hess[i as usize]).sum();
+            let leaf = |nodes: &mut Vec<RegNode>| {
+                nodes.push(RegNode::Leaf {
+                    value: -g / (h + self.cfg.lambda),
+                });
+                (nodes.len() - 1) as u32
+            };
+            if depth >= self.cfg.max_depth || subset.len() < 2 {
+                return leaf(&mut self.nodes);
+            }
+            let parent_obj = g * g / (h + self.cfg.lambda);
+            let mut best: Option<(usize, f64)> = None;
+            for f in 0..self.ds.num_inputs() {
+                let mut gh = 0.0;
+                let mut hh = 0.0;
+                for &i in subset {
+                    if self.ds.pattern(i as usize).get(f) {
+                        gh += self.grad[i as usize];
+                        hh += self.hess[i as usize];
+                    }
+                }
+                let gl = g - gh;
+                let hl = h - hh;
+                if hh < self.cfg.min_child_weight || hl < self.cfg.min_child_weight {
+                    continue;
+                }
+                let gain = 0.5
+                    * (gl * gl / (hl + self.cfg.lambda) + gh * gh / (hh + self.cfg.lambda)
+                        - parent_obj)
+                    - self.cfg.gamma;
+                if gain > 1e-12 && best.is_none_or(|(_, bg)| gain > bg) {
+                    best = Some((f, gain));
+                }
+            }
+            let Some((feature, _)) = best else {
+                return leaf(&mut self.nodes);
+            };
+            let (lo_set, hi_set): (Vec<u32>, Vec<u32>) = subset
+                .iter()
+                .partition(|&&i| !self.ds.pattern(i as usize).get(feature));
+            if lo_set.is_empty() || hi_set.is_empty() {
+                return leaf(&mut self.nodes);
+            }
+            let lo = self.grow(&lo_set, depth + 1);
+            let hi = self.grow(&hi_set, depth + 1);
+            self.nodes.push(RegNode::Split {
+                feature: feature as u32,
+                lo,
+                hi,
+            });
+            (self.nodes.len() - 1) as u32
+        }
+    }
 
     fn full_dataset(f: impl Fn(u64) -> bool, nv: usize) -> Dataset {
         let mut ds = Dataset::new(nv);
@@ -644,7 +650,7 @@ mod tests {
                 ..GradientBoostConfig::default()
             };
             let columnar = GradientBoost::train(&ds, &cfg);
-            let rows = GradientBoost::train_row_major(&ds, &cfg);
+            let rows = train_row_major(&ds, &cfg);
             assert_eq!(
                 columnar.trees, rows.trees,
                 "trees diverge at n={n} arity={arity}"
@@ -656,6 +662,53 @@ mod tests {
                     rows.score(&p).to_bits(),
                     "margin diverges at n={n} arity={arity}"
                 );
+            }
+        }
+        bit_sliced_trainer_matches_row_major_reference();
+    }
+
+    fn random_dataset(seed: u64, len: usize, arity: usize) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ds = Dataset::new(arity);
+        for _ in 0..len {
+            let p = Pattern::random(&mut rng, arity);
+            let label = (p.get(0) && p.get(1)) ^ (rng.gen::<f64>() < 0.25);
+            ds.push(p, label);
+        }
+        ds
+    }
+
+    // Random datasets for the test above: margins and quantized
+    // predictions on every 7-input pattern. The function name seeds the
+    // case stream.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        fn bit_sliced_trainer_matches_row_major_reference(
+            seed in any::<u64>(),
+            len in 0usize..150,
+            rounds_index in 0usize..3,
+        ) {
+            let rounds = [0usize, 1, 5][rounds_index];
+            let arity = 7;
+            let ds = random_dataset(seed, len, arity);
+            let cfg = GradientBoostConfig {
+                n_rounds: rounds,
+                max_depth: 4,
+                min_child_weight: 0.05,
+                ..GradientBoostConfig::default()
+            };
+            let columnar = GradientBoost::train(&ds, &cfg);
+            let reference = train_row_major(&ds, &cfg);
+            for m in 0..(1u64 << arity) {
+                let p = Pattern::from_index(m, arity);
+                prop_assert_eq!(
+                    columnar.score(&p).to_bits(),
+                    reference.score(&p).to_bits(),
+                    "margins diverge at {:07b}",
+                    m
+                );
+                prop_assert_eq!(columnar.predict_quantized(&p), reference.predict_quantized(&p));
             }
         }
     }

@@ -1,14 +1,8 @@
-//! Property tests pinning the boosted ensemble's quantized semantics.
-//!
-//! Two contracts:
-//!
-//! * `predict_quantized(p)` must equal simulating `to_aig()` on `p` for
-//!   every pattern, dataset, and round count — including `n_rounds = 0`
-//!   (the empty forest compiles to the constant prior) and tree counts
-//!   that are not multiples of 5 (uneven final majority chunks).
-//! * The bit-sliced masked ⟨grad, hess⟩ split search must reproduce the
-//!   row-major reference trainer bitwise: identical raw margins and
-//!   identical predictions everywhere.
+//! Property tests pinning the boosted ensemble's quantized semantics:
+//! `predict_quantized(p)` must equal simulating `to_aig()` on `p` for every
+//! pattern, dataset, and round count — including `n_rounds = 0` (the empty
+//! forest compiles to the constant prior) and tree counts that are not
+//! multiples of 5 (uneven final majority chunks).
 
 use lsml_dtree::{GradientBoost, GradientBoostConfig};
 use lsml_pla::{Dataset, Pattern};
@@ -60,35 +54,6 @@ proptest! {
                 m,
                 rounds
             );
-        }
-    }
-
-    #[test]
-    fn bit_sliced_trainer_matches_row_major_reference(
-        seed in any::<u64>(),
-        len in 0usize..150,
-        rounds_index in 0usize..3,
-    ) {
-        let rounds = [0usize, 1, 5][rounds_index];
-        let arity = 7;
-        let ds = random_dataset(seed, len, arity);
-        let cfg = GradientBoostConfig {
-            n_rounds: rounds,
-            max_depth: 4,
-            min_child_weight: 0.05,
-            ..GradientBoostConfig::default()
-        };
-        let columnar = GradientBoost::train(&ds, &cfg);
-        let reference = GradientBoost::train_row_major(&ds, &cfg);
-        for m in 0..(1u64 << arity) {
-            let p = Pattern::from_index(m, arity);
-            prop_assert_eq!(
-                columnar.score(&p).to_bits(),
-                reference.score(&p).to_bits(),
-                "margins diverge at {:07b}",
-                m
-            );
-            prop_assert_eq!(columnar.predict_quantized(&p), reference.predict_quantized(&p));
         }
     }
 }

@@ -36,7 +36,5 @@
 mod minimize;
 mod synth;
 
-#[doc(hidden)]
-pub use minimize::minimize_dataset_row_major;
 pub use minimize::{minimize_cover, minimize_dataset, supercube, EspressoConfig};
 pub use synth::cover_to_aig;

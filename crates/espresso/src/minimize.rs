@@ -13,9 +13,9 @@
 //! = ≥2), so "can literal `v` go" is one fused popcount over
 //! `mismatchᵥ ∧ ones ∧ ¬twos` instead of a cube-by-cube offset walk.
 //!
-//! The pre-columnar row-major implementation is retained, bit-identical,
-//! as [`minimize_dataset_row_major`] — the differential-test oracle and
-//! the benchmark baseline.
+//! The pre-columnar row-major implementation (cube-by-cube `contains`
+//! walks over the pattern lists) is kept only in the test module, as the
+//! reference the columnar engine must match cube for cube.
 
 use lsml_pla::kernels::for_each_set_bit;
 use lsml_pla::{BitColumns, Cover, Cube, Dataset, Pattern, Trit};
@@ -52,18 +52,6 @@ impl Default for EspressoConfig {
 /// Panics if the dataset contains the same pattern with both labels
 /// (contradictory care set).
 pub fn minimize_dataset(ds: &Dataset, cfg: &EspressoConfig) -> Cover {
-    minimize_dataset_impl(ds, cfg, true)
-}
-
-/// The pre-columnar minimizer: cube-by-cube `contains` walks over the
-/// pattern lists. Kept as the reference implementation for differential
-/// tests and the `kernels` benchmark baseline; prefer [`minimize_dataset`].
-#[doc(hidden)]
-pub fn minimize_dataset_row_major(ds: &Dataset, cfg: &EspressoConfig) -> Cover {
-    minimize_dataset_impl(ds, cfg, false)
-}
-
-fn minimize_dataset_impl(ds: &Dataset, cfg: &EspressoConfig, columnar: bool) -> Cover {
     let positives: Vec<Pattern> = ds
         .iter()
         .filter(|&(_, o)| o)
@@ -82,7 +70,6 @@ fn minimize_dataset_impl(ds: &Dataset, cfg: &EspressoConfig, columnar: bool) -> 
         &negatives,
         cfg,
         /* verify_consistent = */ true,
-        columnar,
     )
 }
 
@@ -112,73 +99,9 @@ pub fn minimize_cover(seeds: &Cover, ds: &Dataset, cfg: &EspressoConfig) -> Cove
         &negatives,
         cfg,
         false,
-        true,
     )
 }
 
-/// The containment-scan engine: row-major cube walks or the columnar
-/// transpose. Both produce bit-identical covers; `minimize` is generic over
-/// the choice so the reference path stays exercised.
-enum Engine {
-    Rows,
-    Columns(Box<ColumnScan>),
-}
-
-impl Engine {
-    fn new(num_vars: usize, positives: &[Pattern], negatives: &[Pattern], columnar: bool) -> Self {
-        if columnar {
-            Engine::Columns(Box::new(ColumnScan::new(num_vars, positives, negatives)))
-        } else {
-            Engine::Rows
-        }
-    }
-
-    fn expand(
-        &mut self,
-        num_vars: usize,
-        seeds: Vec<Cube>,
-        positives: &[Pattern],
-        negatives: &[Pattern],
-        cfg: &EspressoConfig,
-    ) -> Cover {
-        match self {
-            Engine::Rows => expand_rows(num_vars, seeds, positives, negatives, cfg),
-            Engine::Columns(scan) => scan.expand(num_vars, seeds, cfg),
-        }
-    }
-
-    fn irredundant(&mut self, cover: &mut Cover, positives: &[Pattern]) {
-        match self {
-            Engine::Rows => irredundant_rows(cover, positives),
-            Engine::Columns(scan) => scan.irredundant(cover, positives.len()),
-        }
-    }
-
-    fn reduce(&mut self, cover: &mut Cover, positives: &[Pattern]) {
-        match self {
-            Engine::Rows => reduce_rows(cover, positives),
-            Engine::Columns(scan) => scan.reduce(cover, positives),
-        }
-    }
-
-    /// The consistency pre-check: the index of a positive example that also
-    /// appears in the off-set, if any. The columnar engine scans each
-    /// negative's containment mask over the on-set columns (a full-pattern
-    /// cube contains exactly the equal patterns) — the last row-major scan
-    /// in the minimizer, widened onto columns.
-    fn find_contradiction(
-        &mut self,
-        positives: &[Pattern],
-        negatives: &[Pattern],
-    ) -> Option<usize> {
-        match self {
-            Engine::Rows => positives.iter().position(|p| negatives.contains(p)),
-            Engine::Columns(scan) => scan.find_contradiction(negatives),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn minimize(
     num_vars: usize,
     seeds: Vec<Cube>,
@@ -186,35 +109,28 @@ fn minimize(
     negatives: &[Pattern],
     cfg: &EspressoConfig,
     verify_consistent: bool,
-    columnar: bool,
 ) -> Cover {
     if positives.is_empty() {
         return Cover::new(num_vars);
     }
 
-    let mut engine = Engine::new(num_vars, positives, negatives, columnar);
+    let mut scan = ColumnScan::new(num_vars, positives, negatives);
     if verify_consistent {
-        if let Some(i) = engine.find_contradiction(positives, negatives) {
+        if let Some(i) = scan.find_contradiction(negatives) {
             panic!("contradictory labels for pattern {}", positives[i]);
         }
     }
-    let mut cover = engine.expand(num_vars, seeds, positives, negatives, cfg);
-    engine.irredundant(&mut cover, positives);
+    let mut cover = scan.expand(num_vars, seeds, cfg);
+    scan.irredundant(&mut cover, positives.len());
     if cfg.first_irredundant {
         return cover;
     }
 
     let mut best = cover.clone();
     for _ in 0..cfg.max_loops {
-        engine.reduce(&mut cover, positives);
-        cover = engine.expand(
-            num_vars,
-            cover.into_iter().collect(),
-            positives,
-            negatives,
-            cfg,
-        );
-        engine.irredundant(&mut cover, positives);
+        scan.reduce(&mut cover, positives);
+        cover = scan.expand(num_vars, cover.into_iter().collect(), cfg);
+        scan.irredundant(&mut cover, positives.len());
         if cost(&cover) < cost(&best) {
             best = cover.clone();
         } else {
@@ -227,103 +143,6 @@ fn minimize(
 /// Cover cost: primary = cube count, secondary = literal count.
 fn cost(cover: &Cover) -> (usize, usize) {
     (cover.len(), cover.literal_count())
-}
-
-/// EXPAND: enlarge each seed cube literal-by-literal, blocked by the offset.
-/// Seeds whose positive examples are already covered are skipped, so strong
-/// expansion keeps the cube count low. (Row-major reference path.)
-fn expand_rows(
-    num_vars: usize,
-    seeds: Vec<Cube>,
-    positives: &[Pattern],
-    negatives: &[Pattern],
-    cfg: &EspressoConfig,
-) -> Cover {
-    let mut out = Cover::new(num_vars);
-    let mut covered = vec![false; positives.len()];
-    let mut expanded = 0usize;
-
-    for seed in seeds {
-        // Skip seeds that no longer contribute any uncovered positive.
-        let contributes = positives
-            .iter()
-            .enumerate()
-            .any(|(i, p)| !covered[i] && seed.contains(p));
-        if !contributes {
-            continue;
-        }
-        let cube = if expanded < cfg.max_expanded_cubes {
-            expanded += 1;
-            expand_cube_rows(&seed, negatives)
-        } else {
-            seed
-        };
-        for (i, p) in positives.iter().enumerate() {
-            if !covered[i] && cube.contains(p) {
-                covered[i] = true;
-            }
-        }
-        out.push(cube);
-    }
-    out.remove_single_cube_containment();
-    out
-}
-
-/// Expands one cube: greedily removes literals (in ascending order of how
-/// many distance-1 offset minterms block them) as long as the enlarged cube
-/// stays clear of every negative example. (Row-major reference path.)
-fn expand_cube_rows(seed: &Cube, negatives: &[Pattern]) -> Cube {
-    let mut cube = seed.clone();
-    // Count, per literal, the offset patterns at distance 1 clashing exactly
-    // on that literal — these definitely block its removal, so try the least
-    // blocked literals first.
-    let mut block = vec![0u32; cube.num_vars()];
-    for r in negatives {
-        let mut clash_var = None;
-        let mut clashes = 0;
-        for (var, pol) in cube.literals() {
-            if r.get(var) != pol {
-                clashes += 1;
-                if clashes > 1 {
-                    break;
-                }
-                clash_var = Some(var);
-            }
-        }
-        if clashes == 1 {
-            block[clash_var.expect("one clash")] += 1;
-        }
-    }
-    let mut order: Vec<usize> = cube.literals().map(|(v, _)| v).collect();
-    order.sort_by_key(|&v| (block[v], v));
-
-    for v in order {
-        let candidate = cube.without_literal(v);
-        if !negatives.iter().any(|r| candidate.contains(r)) {
-            cube = candidate;
-        }
-    }
-    cube
-}
-
-/// IRREDUNDANT: drop cubes all of whose positive examples are multiply
-/// covered. Cubes with more literals (smaller cubes) are dropped first.
-/// (Row-major reference path.)
-fn irredundant_rows(cover: &mut Cover, positives: &[Pattern]) {
-    // multiplicity[i] = how many cubes cover positive example i.
-    let mut multiplicity = vec![0u32; positives.len()];
-    let mut covers: Vec<Vec<u32>> = Vec::with_capacity(cover.len());
-    for cube in cover.iter() {
-        let mut mine = Vec::new();
-        for (i, p) in positives.iter().enumerate() {
-            if cube.contains(p) {
-                multiplicity[i] += 1;
-                mine.push(i as u32);
-            }
-        }
-        covers.push(mine);
-    }
-    drop_multiply_covered(cover, covers, &mut multiplicity);
 }
 
 /// Shared tail of IRREDUNDANT once per-cube coverage lists exist: drop
@@ -344,42 +163,6 @@ fn drop_multiply_covered(cover: &mut Cover, covers: Vec<Vec<u32>>, multiplicity:
     }
     let mut keep = dead.iter().map(|d| !d);
     cover.cubes_mut().retain(|_| keep.next().expect("mask"));
-}
-
-/// REDUCE: shrink every cube to the supercube of the positive examples that
-/// only it covers (dropping cubes that uniquely cover nothing).
-/// (Row-major reference path.)
-fn reduce_rows(cover: &mut Cover, positives: &[Pattern]) {
-    let mut multiplicity = vec![0u32; positives.len()];
-    for cube in cover.iter() {
-        for (i, p) in positives.iter().enumerate() {
-            if cube.contains(p) {
-                multiplicity[i] += 1;
-            }
-        }
-    }
-    let num_vars = cover.num_vars();
-    let mut reduced: Vec<Cube> = Vec::with_capacity(cover.len());
-    for cube in cover.iter() {
-        let unique: Vec<&Pattern> = positives
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| multiplicity[*i] == 1 && cube.contains(p))
-            .map(|(_, p)| p)
-            .collect();
-        if unique.is_empty() {
-            // Covered elsewhere: the cube would be redundant; drop it and
-            // release its shared examples.
-            for (i, p) in positives.iter().enumerate() {
-                if cube.contains(p) {
-                    multiplicity[i] -= 1;
-                }
-            }
-            continue;
-        }
-        reduced.push(supercube(num_vars, unique.into_iter()));
-    }
-    *cover = Cover::from_cubes(num_vars, reduced);
 }
 
 /// The columnar containment engine: on-set and off-set transposed once into
@@ -632,6 +415,184 @@ pub fn supercube<'a>(num_vars: usize, mut patterns: impl Iterator<Item = &'a Pat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference minimizer: the EXPAND → IRREDUNDANT → REDUCE loop
+    /// over cube-by-cube `contains` walks of the pattern lists.
+    fn minimize_dataset_row_major(ds: &Dataset, cfg: &EspressoConfig) -> Cover {
+        let num_vars = ds.num_inputs();
+        let positives: Vec<Pattern> = ds
+            .iter()
+            .filter(|&(_, o)| o)
+            .map(|(p, _)| p.clone())
+            .collect();
+        let negatives: Vec<Pattern> = ds
+            .iter()
+            .filter(|&(_, o)| !o)
+            .map(|(p, _)| p.clone())
+            .collect();
+        if positives.is_empty() {
+            return Cover::new(num_vars);
+        }
+        if let Some(p) = positives.iter().find(|p| negatives.contains(p)) {
+            panic!("contradictory labels for pattern {p}");
+        }
+        let seeds: Vec<Cube> = positives.iter().map(Cube::from_pattern).collect();
+        let mut cover = expand_rows(num_vars, seeds, &positives, &negatives, cfg);
+        irredundant_rows(&mut cover, &positives);
+        if cfg.first_irredundant {
+            return cover;
+        }
+        let mut best = cover.clone();
+        for _ in 0..cfg.max_loops {
+            reduce_rows(&mut cover, &positives);
+            let seeds = cover.into_iter().collect();
+            cover = expand_rows(num_vars, seeds, &positives, &negatives, cfg);
+            irredundant_rows(&mut cover, &positives);
+            if cost(&cover) < cost(&best) {
+                best = cover.clone();
+            } else {
+                break;
+            }
+        }
+        best
+    }
+
+    /// EXPAND: enlarge each seed cube literal-by-literal, blocked by the offset.
+    /// Seeds whose positive examples are already covered are skipped, so strong
+    /// expansion keeps the cube count low. (Row-major reference path.)
+    fn expand_rows(
+        num_vars: usize,
+        seeds: Vec<Cube>,
+        positives: &[Pattern],
+        negatives: &[Pattern],
+        cfg: &EspressoConfig,
+    ) -> Cover {
+        let mut out = Cover::new(num_vars);
+        let mut covered = vec![false; positives.len()];
+        let mut expanded = 0usize;
+
+        for seed in seeds {
+            // Skip seeds that no longer contribute any uncovered positive.
+            let contributes = positives
+                .iter()
+                .enumerate()
+                .any(|(i, p)| !covered[i] && seed.contains(p));
+            if !contributes {
+                continue;
+            }
+            let cube = if expanded < cfg.max_expanded_cubes {
+                expanded += 1;
+                expand_cube_rows(&seed, negatives)
+            } else {
+                seed
+            };
+            for (i, p) in positives.iter().enumerate() {
+                if !covered[i] && cube.contains(p) {
+                    covered[i] = true;
+                }
+            }
+            out.push(cube);
+        }
+        out.remove_single_cube_containment();
+        out
+    }
+
+    /// Expands one cube: greedily removes literals (in ascending order of how
+    /// many distance-1 offset minterms block them) as long as the enlarged cube
+    /// stays clear of every negative example. (Row-major reference path.)
+    fn expand_cube_rows(seed: &Cube, negatives: &[Pattern]) -> Cube {
+        let mut cube = seed.clone();
+        // Count, per literal, the offset patterns at distance 1 clashing exactly
+        // on that literal — these definitely block its removal, so try the least
+        // blocked literals first.
+        let mut block = vec![0u32; cube.num_vars()];
+        for r in negatives {
+            let mut clash_var = None;
+            let mut clashes = 0;
+            for (var, pol) in cube.literals() {
+                if r.get(var) != pol {
+                    clashes += 1;
+                    if clashes > 1 {
+                        break;
+                    }
+                    clash_var = Some(var);
+                }
+            }
+            if clashes == 1 {
+                block[clash_var.expect("one clash")] += 1;
+            }
+        }
+        let mut order: Vec<usize> = cube.literals().map(|(v, _)| v).collect();
+        order.sort_by_key(|&v| (block[v], v));
+
+        for v in order {
+            let candidate = cube.without_literal(v);
+            if !negatives.iter().any(|r| candidate.contains(r)) {
+                cube = candidate;
+            }
+        }
+        cube
+    }
+
+    /// IRREDUNDANT: drop cubes all of whose positive examples are multiply
+    /// covered. Cubes with more literals (smaller cubes) are dropped first.
+    /// (Row-major reference path.)
+    fn irredundant_rows(cover: &mut Cover, positives: &[Pattern]) {
+        // multiplicity[i] = how many cubes cover positive example i.
+        let mut multiplicity = vec![0u32; positives.len()];
+        let mut covers: Vec<Vec<u32>> = Vec::with_capacity(cover.len());
+        for cube in cover.iter() {
+            let mut mine = Vec::new();
+            for (i, p) in positives.iter().enumerate() {
+                if cube.contains(p) {
+                    multiplicity[i] += 1;
+                    mine.push(i as u32);
+                }
+            }
+            covers.push(mine);
+        }
+        drop_multiply_covered(cover, covers, &mut multiplicity);
+    }
+
+    /// REDUCE: shrink every cube to the supercube of the positive examples that
+    /// only it covers (dropping cubes that uniquely cover nothing).
+    /// (Row-major reference path.)
+    fn reduce_rows(cover: &mut Cover, positives: &[Pattern]) {
+        let mut multiplicity = vec![0u32; positives.len()];
+        for cube in cover.iter() {
+            for (i, p) in positives.iter().enumerate() {
+                if cube.contains(p) {
+                    multiplicity[i] += 1;
+                }
+            }
+        }
+        let num_vars = cover.num_vars();
+        let mut reduced: Vec<Cube> = Vec::with_capacity(cover.len());
+        for cube in cover.iter() {
+            let unique: Vec<&Pattern> = positives
+                .iter()
+                .enumerate()
+                .filter(|(i, p)| multiplicity[*i] == 1 && cube.contains(p))
+                .map(|(_, p)| p)
+                .collect();
+            if unique.is_empty() {
+                // Covered elsewhere: the cube would be redundant; drop it and
+                // release its shared examples.
+                for (i, p) in positives.iter().enumerate() {
+                    if cube.contains(p) {
+                        multiplicity[i] -= 1;
+                    }
+                }
+                continue;
+            }
+            reduced.push(supercube(num_vars, unique.into_iter()));
+        }
+        *cover = Cover::from_cubes(num_vars, reduced);
+    }
 
     fn dataset_from(f: impl Fn(u64) -> bool, num_vars: usize) -> Dataset {
         let mut ds = Dataset::new(num_vars);
@@ -820,6 +781,60 @@ mod tests {
                     minimize_dataset(&sparse, &cfg).cubes(),
                     minimize_dataset_row_major(&sparse, &cfg).cubes(),
                     "sparse {nv}-var care set, first_irredundant={first_irredundant}"
+                );
+            }
+        }
+        // 1000 random examples over 32 inputs: 16-word columns.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut wide = Dataset::new(32);
+        for _ in 0..1000 {
+            let p = Pattern::random(&mut rng, 32);
+            let label = (p.get(0) ^ p.get(7)) || (p.get(3) && p.get(19)) || rng.gen_bool(0.05);
+            wide.push(p, label);
+        }
+        let cfg = EspressoConfig {
+            first_irredundant: true,
+            ..EspressoConfig::default()
+        };
+        assert_eq!(
+            minimize_dataset(&wide, &cfg).cubes(),
+            minimize_dataset_row_major(&wide, &cfg).cubes(),
+            "1000x32 corpus"
+        );
+        columnar_scan_is_cube_identical_to_row_major();
+    }
+
+    const NV: usize = 7;
+
+    /// Random incompletely specified function: a random subset of minterms
+    /// with random consistent labels.
+    fn arb_dataset() -> impl Strategy<Value = Dataset> {
+        (any::<u64>(), 1usize..80).prop_map(|(seed, n)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut minterms: Vec<u64> = (0..(1u64 << NV)).collect();
+            minterms.shuffle(&mut rng);
+            let mut ds = Dataset::new(NV);
+            for &m in minterms.iter().take(n) {
+                let label = (m.wrapping_mul(seed | 1).count_ones() & 1) == 1;
+                ds.push(Pattern::from_index(m, NV), label);
+            }
+            ds
+        })
+    }
+
+    // Random sampled care sets for the test above, in both espresso modes.
+    // The function name seeds the case stream.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        fn columnar_scan_is_cube_identical_to_row_major(ds in arb_dataset()) {
+            for first_irredundant in [false, true] {
+                let cfg = EspressoConfig { first_irredundant, ..EspressoConfig::default() };
+                let cols = minimize_dataset(&ds, &cfg);
+                let rows = minimize_dataset_row_major(&ds, &cfg);
+                prop_assert_eq!(
+                    cols.cubes(), rows.cubes(),
+                    "diverged with first_irredundant={}", first_irredundant
                 );
             }
         }
