@@ -45,7 +45,7 @@
 //! at or above the cut's leaf count are don't-cares, so the low `2^len` bits
 //! replicate through all 64. That invariant is what lets the merge step remap
 //! a fanin table onto the union leaf set with a handful of bitwise
-//! adjacent-variable swaps ([`insert_vacuous`]) instead of a per-minterm
+//! adjacent-variable swaps (`insert_vacuous`) instead of a per-minterm
 //! rebuild.
 //!
 //! The pre-arena `Vec<Vec<Cut>>` enumeration is kept, behaviorally

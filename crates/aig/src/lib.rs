@@ -18,9 +18,9 @@
 //!   optimal-structure library.
 //! * [`rewrite`] — DAG-aware cut/NPN rewriting (ABC's `rewrite`).
 //! * [`sweep`] — simulation-guided equivalence sweeping.
-//! * [`opt`] — the composable [`Pass`](opt::Pass) /
-//!   [`Pipeline`](opt::Pipeline) layer chaining the exact passes
-//!   (`balance | rewrite | sweep | cleanup`, iterated to fixpoint).
+//! * [`opt`] — the composable [`Pass`] / [`Pipeline`] layer chaining the
+//!   exact passes (`balance | rewrite | sweep | cleanup`, iterated to
+//!   fixpoint).
 //! * [`lru`] — the lock-striped, byte-budgeted LRU map behind the
 //!   process-wide compile and fixpoint caches.
 //! * [`approx`] — the random-simulation approximation pass Team 1 used to

@@ -761,7 +761,7 @@ impl<K: ShardKey, V: Clone> Default for Striped<K, V> {
 /// The process-wide structure library: canonization results and class
 /// structures are computed once and memoized. Every rewriting call shares
 /// the same instance via [`NpnLibrary::global`]. Each map is lock-striped
-/// ([`Striped`]): the old single-`Mutex`-per-map design serialized every
+/// (`Striped`): the old single-`Mutex`-per-map design serialized every
 /// worker of a batched compile behind one lock per probe.
 #[derive(Default)]
 pub struct NpnLibrary {

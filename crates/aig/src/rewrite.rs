@@ -24,7 +24,7 @@
 //! The pass is allocation-free per node and per cut: cut sets live in a
 //! [`CutArena`] (two flat buffers), and every per-candidate buffer — the
 //! MFFC dereference stack, the decrement undo log, the dry-run value map,
-//! the pass-local library cache — lives in a [`Scratch`] bundle recycled
+//! the pass-local library cache — lives in a `Scratch` bundle recycled
 //! through a thread-local free list (the same `_into` discipline the PR 4
 //! kernels introduced). Repeated passes on a pool worker therefore reuse
 //! one steady-state set of buffers.

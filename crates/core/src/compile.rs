@@ -44,7 +44,7 @@
 //! logic structurally instead of re-building it per candidate. Candidates
 //! are output cones of the shared graph; compilation extracts a cone in
 //! *canonical creation order* ([`lsml_aig::Aig::extract_cone`]) and feeds it
-//! through the very same [`compile_through`] tail as the per-candidate path,
+//! through the very same `compile_through` tail as the per-candidate path,
 //! which keeps batched results bit-identical to from-scratch compiles and
 //! lets both paths share cache entries.
 
@@ -706,7 +706,7 @@ impl CompileBatch {
     }
 
     /// Compiles one candidate (memoized): canonical cone extraction plus the
-    /// shared [`compile_through`] tail, so the result — graph, label, cache
+    /// shared `compile_through` tail, so the result — graph, label, cache
     /// key — is identical to compiling the standalone candidate.
     pub fn compile(&mut self, id: usize) -> LearnedCircuit {
         if self.cands[id].compiled.is_none() {
