@@ -759,7 +759,6 @@ mod tests {
                 "arena and reference rewrites diverged"
             );
         }
-        arena_rewrite_is_node_identical_to_reference();
     }
 
     /// A recipe for building a random AIG: a list of gate ops over existing
@@ -816,12 +815,13 @@ mod tests {
         g
     }
 
-    // Random graphs for the test above, at both cut sizes, with and
-    // without zero-gain replacements. The function name seeds the case
-    // stream.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        /// The arena-backed rewrite is node-identical to the `Vec`-based
+        /// reference on random graphs, at both cut sizes and with and
+        /// without zero-gain replacements.
+        #[test]
         fn arena_rewrite_is_node_identical_to_reference(ops in arb_ops(40)) {
             let g = build(&ops);
             for cut_size in [4usize, 6] {

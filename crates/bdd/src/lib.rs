@@ -34,5 +34,7 @@
 //! ```
 
 mod manager;
+#[cfg(test)]
+mod row_major;
 
 pub use manager::{BddManager, BddRef, MinimizeStyle};

@@ -2,8 +2,8 @@
 //!
 //! Datasets enter through the columnar [`BddManager::from_dataset`]. The
 //! row-major construction it replaced (one minterm BDD per row, OR-ed in)
-//! is kept only in the test module, as the reference it must match node
-//! for node.
+//! is kept only in the test-only `row_major` module, as the reference it
+//! must match node for node.
 
 use std::collections::HashMap;
 
@@ -272,7 +272,7 @@ impl BddManager {
     /// `AND`/`ANDNOT` pass, and a leaf is positive iff `|mask ∧ labels| > 0`
     /// (one popcount). BDDs are canonical per manager, so the result is
     /// node-for-node identical to the row-major construction, which the
-    /// test module keeps as a reference.
+    /// test-only `row_major` module keeps as a reference.
     ///
     /// # Panics
     ///
@@ -478,25 +478,9 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::row_major::from_dataset_row_major;
     use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
-
-    /// The reference construction: one minterm BDD per row, OR-ed in
-    /// dataset order.
-    fn from_dataset_row_major(mgr: &mut BddManager, ds: &Dataset) -> (BddRef, BddRef) {
-        let mut onset = BDD_FALSE;
-        let mut care = BDD_FALSE;
-        for (p, o) in ds.iter() {
-            let m = mgr.minterm(p);
-            care = mgr.or(care, m);
-            if o {
-                onset = mgr.or(onset, m);
-            }
-        }
-        (onset, care)
-    }
 
     fn exhaustive_check(mgr: &BddManager, f: BddRef, nv: usize, expect: impl Fn(u64) -> bool) {
         for m in 0..(1u64 << nv) {
@@ -655,35 +639,6 @@ mod tests {
         // Empty dataset: both constant false.
         let mut mgr = BddManager::new(3);
         assert_eq!(mgr.from_dataset(&Dataset::new(3)), (BDD_FALSE, BDD_FALSE));
-        columnar_from_dataset_is_node_identical();
-    }
-
-    // Random sampled care sets for the test above, with duplicated and
-    // contradictory rows. The function name seeds the case stream.
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        fn columnar_from_dataset_is_node_identical(seed in any::<u64>(), n in 1usize..60) {
-            const NV: usize = 6;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut minterms: Vec<u64> = (0..(1u64 << NV)).collect();
-            minterms.shuffle(&mut rng);
-            let mut ds = Dataset::new(NV);
-            for &m in minterms.iter().take(n) {
-                ds.push(Pattern::from_index(m, NV), (m.wrapping_mul(seed | 3)) % 3 == 0);
-                if m % 5 == 0 {
-                    // Duplicate row, sometimes with the opposite label: the
-                    // onset is an OR of positives, so both constructions
-                    // must treat it identically.
-                    ds.push(Pattern::from_index(m, NV), (m.wrapping_mul(seed | 3)) % 2 == 0);
-                }
-            }
-            let mut mgr = BddManager::new(NV);
-            let (on_rows, care_rows) = from_dataset_row_major(&mut mgr, &ds);
-            let (on_cols, care_cols) = mgr.from_dataset(&ds);
-            prop_assert_eq!(on_cols, on_rows);
-            prop_assert_eq!(care_cols, care_rows);
-        }
     }
 
     #[test]

@@ -7,6 +7,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+#[path = "../src/row_major.rs"]
+mod row_major;
+use row_major::from_dataset_row_major;
+
 const NV: usize = 6;
 
 /// Builds a random function as a BDD plus its reference truth vector.
@@ -75,6 +79,31 @@ proptest! {
             }
             prop_assert!(mgr.size(f) <= mgr.size(onset));
         }
+    }
+
+    #[test]
+    fn columnar_from_dataset_is_node_identical(seed in any::<u64>(), n in 1usize..60) {
+        // Canonical manager ⇒ the columnar cofactor construction and the
+        // row-major minterm OR must return the very same node refs, and
+        // duplicated/contradictory rows must not disturb that.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut minterms: Vec<u64> = (0..(1u64 << NV)).collect();
+        minterms.shuffle(&mut rng);
+        let mut ds = Dataset::new(NV);
+        for &m in minterms.iter().take(n) {
+            ds.push(Pattern::from_index(m, NV), (m.wrapping_mul(seed | 3)) % 3 == 0);
+            if m % 5 == 0 {
+                // Duplicate row, sometimes with the opposite label: the
+                // onset is an OR of positives, so both constructions must
+                // treat it identically.
+                ds.push(Pattern::from_index(m, NV), (m.wrapping_mul(seed | 3)) % 2 == 0);
+            }
+        }
+        let mut mgr = BddManager::new(NV);
+        let (on_rows, care_rows) = from_dataset_row_major(&mut mgr, &ds);
+        let (on_cols, care_cols) = mgr.from_dataset(&ds);
+        prop_assert_eq!(on_cols, on_rows);
+        prop_assert_eq!(care_cols, care_rows);
     }
 
     #[test]

@@ -664,7 +664,6 @@ mod tests {
                 );
             }
         }
-        bit_sliced_trainer_matches_row_major_reference();
     }
 
     fn random_dataset(seed: u64, len: usize, arity: usize) -> Dataset {
@@ -678,12 +677,13 @@ mod tests {
         ds
     }
 
-    // Random datasets for the test above: margins and quantized
-    // predictions on every 7-input pattern. The function name seeds the
-    // case stream.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
+        /// On random datasets the bit-sliced trainer reproduces the
+        /// row-major reference bitwise: identical raw margins and identical
+        /// quantized predictions on every 7-input pattern.
+        #[test]
         fn bit_sliced_trainer_matches_row_major_reference(
             seed in any::<u64>(),
             len in 0usize..150,

@@ -34,6 +34,8 @@
 //! ```
 
 mod minimize;
+#[cfg(test)]
+mod row_major;
 mod synth;
 
 pub use minimize::{minimize_cover, minimize_dataset, supercube, EspressoConfig};

@@ -14,8 +14,8 @@
 //! `mismatchᵥ ∧ ones ∧ ¬twos` instead of a cube-by-cube offset walk.
 //!
 //! The pre-columnar row-major implementation (cube-by-cube `contains`
-//! walks over the pattern lists) is kept only in the test module, as the
-//! reference the columnar engine must match cube for cube.
+//! walks over the pattern lists) is kept only in the test-only `row_major`
+//! module, as the reference the columnar engine must match cube for cube.
 
 use lsml_pla::kernels::for_each_set_bit;
 use lsml_pla::{BitColumns, Cover, Cube, Dataset, Pattern, Trit};
@@ -415,184 +415,9 @@ pub fn supercube<'a>(num_vars: usize, mut patterns: impl Iterator<Item = &'a Pat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::row_major::minimize_dataset_row_major;
     use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
-
-    /// The reference minimizer: the EXPAND → IRREDUNDANT → REDUCE loop
-    /// over cube-by-cube `contains` walks of the pattern lists.
-    fn minimize_dataset_row_major(ds: &Dataset, cfg: &EspressoConfig) -> Cover {
-        let num_vars = ds.num_inputs();
-        let positives: Vec<Pattern> = ds
-            .iter()
-            .filter(|&(_, o)| o)
-            .map(|(p, _)| p.clone())
-            .collect();
-        let negatives: Vec<Pattern> = ds
-            .iter()
-            .filter(|&(_, o)| !o)
-            .map(|(p, _)| p.clone())
-            .collect();
-        if positives.is_empty() {
-            return Cover::new(num_vars);
-        }
-        if let Some(p) = positives.iter().find(|p| negatives.contains(p)) {
-            panic!("contradictory labels for pattern {p}");
-        }
-        let seeds: Vec<Cube> = positives.iter().map(Cube::from_pattern).collect();
-        let mut cover = expand_rows(num_vars, seeds, &positives, &negatives, cfg);
-        irredundant_rows(&mut cover, &positives);
-        if cfg.first_irredundant {
-            return cover;
-        }
-        let mut best = cover.clone();
-        for _ in 0..cfg.max_loops {
-            reduce_rows(&mut cover, &positives);
-            let seeds = cover.into_iter().collect();
-            cover = expand_rows(num_vars, seeds, &positives, &negatives, cfg);
-            irredundant_rows(&mut cover, &positives);
-            if cost(&cover) < cost(&best) {
-                best = cover.clone();
-            } else {
-                break;
-            }
-        }
-        best
-    }
-
-    /// EXPAND: enlarge each seed cube literal-by-literal, blocked by the offset.
-    /// Seeds whose positive examples are already covered are skipped, so strong
-    /// expansion keeps the cube count low. (Row-major reference path.)
-    fn expand_rows(
-        num_vars: usize,
-        seeds: Vec<Cube>,
-        positives: &[Pattern],
-        negatives: &[Pattern],
-        cfg: &EspressoConfig,
-    ) -> Cover {
-        let mut out = Cover::new(num_vars);
-        let mut covered = vec![false; positives.len()];
-        let mut expanded = 0usize;
-
-        for seed in seeds {
-            // Skip seeds that no longer contribute any uncovered positive.
-            let contributes = positives
-                .iter()
-                .enumerate()
-                .any(|(i, p)| !covered[i] && seed.contains(p));
-            if !contributes {
-                continue;
-            }
-            let cube = if expanded < cfg.max_expanded_cubes {
-                expanded += 1;
-                expand_cube_rows(&seed, negatives)
-            } else {
-                seed
-            };
-            for (i, p) in positives.iter().enumerate() {
-                if !covered[i] && cube.contains(p) {
-                    covered[i] = true;
-                }
-            }
-            out.push(cube);
-        }
-        out.remove_single_cube_containment();
-        out
-    }
-
-    /// Expands one cube: greedily removes literals (in ascending order of how
-    /// many distance-1 offset minterms block them) as long as the enlarged cube
-    /// stays clear of every negative example. (Row-major reference path.)
-    fn expand_cube_rows(seed: &Cube, negatives: &[Pattern]) -> Cube {
-        let mut cube = seed.clone();
-        // Count, per literal, the offset patterns at distance 1 clashing exactly
-        // on that literal — these definitely block its removal, so try the least
-        // blocked literals first.
-        let mut block = vec![0u32; cube.num_vars()];
-        for r in negatives {
-            let mut clash_var = None;
-            let mut clashes = 0;
-            for (var, pol) in cube.literals() {
-                if r.get(var) != pol {
-                    clashes += 1;
-                    if clashes > 1 {
-                        break;
-                    }
-                    clash_var = Some(var);
-                }
-            }
-            if clashes == 1 {
-                block[clash_var.expect("one clash")] += 1;
-            }
-        }
-        let mut order: Vec<usize> = cube.literals().map(|(v, _)| v).collect();
-        order.sort_by_key(|&v| (block[v], v));
-
-        for v in order {
-            let candidate = cube.without_literal(v);
-            if !negatives.iter().any(|r| candidate.contains(r)) {
-                cube = candidate;
-            }
-        }
-        cube
-    }
-
-    /// IRREDUNDANT: drop cubes all of whose positive examples are multiply
-    /// covered. Cubes with more literals (smaller cubes) are dropped first.
-    /// (Row-major reference path.)
-    fn irredundant_rows(cover: &mut Cover, positives: &[Pattern]) {
-        // multiplicity[i] = how many cubes cover positive example i.
-        let mut multiplicity = vec![0u32; positives.len()];
-        let mut covers: Vec<Vec<u32>> = Vec::with_capacity(cover.len());
-        for cube in cover.iter() {
-            let mut mine = Vec::new();
-            for (i, p) in positives.iter().enumerate() {
-                if cube.contains(p) {
-                    multiplicity[i] += 1;
-                    mine.push(i as u32);
-                }
-            }
-            covers.push(mine);
-        }
-        drop_multiply_covered(cover, covers, &mut multiplicity);
-    }
-
-    /// REDUCE: shrink every cube to the supercube of the positive examples that
-    /// only it covers (dropping cubes that uniquely cover nothing).
-    /// (Row-major reference path.)
-    fn reduce_rows(cover: &mut Cover, positives: &[Pattern]) {
-        let mut multiplicity = vec![0u32; positives.len()];
-        for cube in cover.iter() {
-            for (i, p) in positives.iter().enumerate() {
-                if cube.contains(p) {
-                    multiplicity[i] += 1;
-                }
-            }
-        }
-        let num_vars = cover.num_vars();
-        let mut reduced: Vec<Cube> = Vec::with_capacity(cover.len());
-        for cube in cover.iter() {
-            let unique: Vec<&Pattern> = positives
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| multiplicity[*i] == 1 && cube.contains(p))
-                .map(|(_, p)| p)
-                .collect();
-            if unique.is_empty() {
-                // Covered elsewhere: the cube would be redundant; drop it and
-                // release its shared examples.
-                for (i, p) in positives.iter().enumerate() {
-                    if cube.contains(p) {
-                        multiplicity[i] -= 1;
-                    }
-                }
-                continue;
-            }
-            reduced.push(supercube(num_vars, unique.into_iter()));
-        }
-        *cover = Cover::from_cubes(num_vars, reduced);
-    }
 
     fn dataset_from(f: impl Fn(u64) -> bool, num_vars: usize) -> Dataset {
         let mut ds = Dataset::new(num_vars);
@@ -801,43 +626,6 @@ mod tests {
             minimize_dataset_row_major(&wide, &cfg).cubes(),
             "1000x32 corpus"
         );
-        columnar_scan_is_cube_identical_to_row_major();
-    }
-
-    const NV: usize = 7;
-
-    /// Random incompletely specified function: a random subset of minterms
-    /// with random consistent labels.
-    fn arb_dataset() -> impl Strategy<Value = Dataset> {
-        (any::<u64>(), 1usize..80).prop_map(|(seed, n)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut minterms: Vec<u64> = (0..(1u64 << NV)).collect();
-            minterms.shuffle(&mut rng);
-            let mut ds = Dataset::new(NV);
-            for &m in minterms.iter().take(n) {
-                let label = (m.wrapping_mul(seed | 1).count_ones() & 1) == 1;
-                ds.push(Pattern::from_index(m, NV), label);
-            }
-            ds
-        })
-    }
-
-    // Random sampled care sets for the test above, in both espresso modes.
-    // The function name seeds the case stream.
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        fn columnar_scan_is_cube_identical_to_row_major(ds in arb_dataset()) {
-            for first_irredundant in [false, true] {
-                let cfg = EspressoConfig { first_irredundant, ..EspressoConfig::default() };
-                let cols = minimize_dataset(&ds, &cfg);
-                let rows = minimize_dataset_row_major(&ds, &cfg);
-                prop_assert_eq!(
-                    cols.cubes(), rows.cubes(),
-                    "diverged with first_irredundant={}", first_irredundant
-                );
-            }
-        }
     }
 
     #[test]

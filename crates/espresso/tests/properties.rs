@@ -1,12 +1,17 @@
-//! Property tests: the minimizer always implements the care set, and the
+//! Property tests: the minimizer always implements the care set, its covers
+//! match the row-major reference (`src/row_major.rs`) cube for cube, and the
 //! synthesized AIG matches the cover.
 
-use lsml_espresso::{cover_to_aig, minimize_dataset, EspressoConfig};
+use lsml_espresso::{cover_to_aig, minimize_dataset, supercube, EspressoConfig};
 use lsml_pla::{Dataset, Pattern};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+#[path = "../src/row_major.rs"]
+mod row_major;
+use row_major::minimize_dataset_row_major;
 
 const NV: usize = 7;
 
@@ -51,6 +56,22 @@ proptest! {
     fn cube_count_never_exceeds_positives(ds in arb_dataset()) {
         let cover = minimize_dataset(&ds, &EspressoConfig::default());
         prop_assert!(cover.len() <= ds.count_positive());
+    }
+
+    #[test]
+    fn columnar_scan_is_cube_identical_to_row_major(ds in arb_dataset()) {
+        // The columnar engine replays the row-major greedy with the same
+        // integer counts and orders, so the covers must be identical cube
+        // for cube — in both espresso modes.
+        for first_irredundant in [false, true] {
+            let cfg = EspressoConfig { first_irredundant, ..EspressoConfig::default() };
+            let cols = minimize_dataset(&ds, &cfg);
+            let rows = minimize_dataset_row_major(&ds, &cfg);
+            prop_assert_eq!(
+                cols.cubes(), rows.cubes(),
+                "diverged with first_irredundant={}", first_irredundant
+            );
+        }
     }
 
     #[test]
