@@ -26,5 +26,8 @@
 mod evolve;
 mod genome;
 
+#[cfg(test)]
+mod golden;
+
 pub use evolve::{evolve, evolve_bootstrapped, CgpConfig, CgpResult};
 pub use genome::{Genome, NodeFn};

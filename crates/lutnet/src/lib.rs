@@ -31,5 +31,8 @@
 mod network;
 mod search;
 
+#[cfg(test)]
+mod golden;
+
 pub use network::{LutNetConfig, LutNetwork, Wiring};
 pub use search::{beam_search, BeamSearchResult};

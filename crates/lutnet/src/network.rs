@@ -49,9 +49,9 @@ impl Default for LutNetConfig {
 /// One lookup table: `k` source indices into the previous layer plus its
 /// (trained) truth table.
 #[derive(Clone, Debug)]
-struct Lut {
-    sources: Vec<u32>,
-    table: TruthTable,
+pub(crate) struct Lut {
+    pub(crate) sources: Vec<u32>,
+    pub(crate) table: TruthTable,
 }
 
 /// A trained LUT network.
@@ -61,7 +61,7 @@ struct Lut {
 pub struct LutNetwork {
     num_inputs: usize,
     /// Hidden layers followed by a single-LUT output layer.
-    layers: Vec<Vec<Lut>>,
+    pub(crate) layers: Vec<Vec<Lut>>,
 }
 
 impl LutNetwork {
