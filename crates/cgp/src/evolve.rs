@@ -1,11 +1,13 @@
 //! The (1+λ) evolution strategy with 1/5-th-rule mutation adaptation.
 
+use std::sync::Arc;
+
 use lsml_aig::Aig;
-use lsml_pla::Dataset;
+use lsml_pla::{BitColumns, Dataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::genome::{dataset_columns, Genome};
+use crate::genome::Genome;
 
 /// CGP evolution configuration.
 #[derive(Clone, Debug)]
@@ -104,17 +106,14 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
             final_mutation_rate: cfg.mutation_rate,
         };
     }
-    let full_columns = dataset_columns(ds);
-    let full_words = ds.len().div_ceil(64);
-
-    // Mini-batch state: indices of the current batch.
-    let mut batch: Option<Dataset> = None;
-    let mut batch_columns = full_columns.clone();
-    let mut batch_words = full_words;
-    let mut batch_ds: &Dataset = ds;
+    let full_columns = ds.bit_columns();
+    // The current mini-batch's columns; `None` scores on the full set.
+    let mut batch_columns: Option<Arc<BitColumns>> = None;
+    // Gene columns, reused by every evaluation of the run.
+    let mut buf = Vec::new();
 
     let mut rate = cfg.mutation_rate;
-    let mut parent_fit = fitness(&parent, batch_ds, &batch_columns, batch_words);
+    let mut parent_fit = fitness(&parent, &full_columns, &mut buf);
 
     for generation in 0..cfg.generations {
         // Refresh the mini-batch periodically (adds stochasticity that Team 9
@@ -122,20 +121,17 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
         if let Some(bs) = cfg.batch_size {
             if generation % cfg.batch_refresh.max(1) == 0 {
                 let bs = bs.min(ds.len()).max(1);
-                batch = Some(ds.bootstrap(bs, &mut rng));
-                let b = batch.as_ref().expect("just set");
-                batch_columns = dataset_columns(b);
-                batch_words = b.len().div_ceil(64);
+                let b = batch_columns.insert(ds.bootstrap(bs, &mut rng).bit_columns());
                 // Re-evaluate the parent on the new batch.
-                parent_fit = fitness(&parent, b, &batch_columns, batch_words);
+                parent_fit = fitness(&parent, b, &mut buf);
             }
         }
-        batch_ds = batch.as_ref().unwrap_or(ds);
+        let columns = batch_columns.as_deref().unwrap_or(&full_columns);
 
         let mut best_child: Option<(Genome, (f64, usize))> = None;
         for _ in 0..cfg.lambda {
             let child = parent.mutate(rate, cfg.use_xor, &mut rng);
-            let fit = fitness(&child, batch_ds, &batch_columns, batch_words);
+            let fit = fitness(&child, columns, &mut buf);
             if best_child.as_ref().is_none_or(|(_, bf)| fit > *bf) {
                 best_child = Some((child, fit));
             }
@@ -171,16 +167,8 @@ fn run(ds: &Dataset, cfg: &CgpConfig, mut parent: Genome, mut rng: StdRng) -> Cg
 /// Fitness: (accuracy on the batch, phenotype size). Larger phenotypes are
 /// preferred on accuracy ties, following Milano & Nolfi's preferential
 /// selection of larger solutions.
-fn fitness(g: &Genome, ds: &Dataset, columns: &[Vec<u64>], words: usize) -> (f64, usize) {
-    let out = g.eval_columns(columns, words);
-    let mut correct = 0usize;
-    for (i, &o) in ds.outputs().iter().enumerate() {
-        let bit = (out[i / 64] >> (i % 64)) & 1 == 1;
-        if bit == o {
-            correct += 1;
-        }
-    }
-    let acc = correct as f64 / ds.len() as f64;
+fn fitness(g: &Genome, columns: &BitColumns, buf: &mut Vec<u64>) -> (f64, usize) {
+    let acc = columns.accuracy_of_packed(g.eval_columns(columns, buf));
     (acc, g.phenotype_size())
 }
 

@@ -1,7 +1,7 @@
 //! CGP genomes: encoding, evaluation, mutation, AIG conversion.
 
 use lsml_aig::{Aig, Lit};
-use lsml_pla::{Dataset, Pattern};
+use lsml_pla::{BitColumns, Dataset, Pattern};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -112,46 +112,57 @@ impl Genome {
     }
 
     /// Bit-packed evaluation over a whole dataset (64 examples per word):
-    /// returns the output column. Only active genes are computed.
-    pub(crate) fn eval_columns(&self, columns: &[Vec<u64>], words: usize) -> Vec<u64> {
+    /// returns the output column. Only active genes are computed, gene `g`
+    /// into `buf[g * words..(g + 1) * words]`; `buf` is reused across calls
+    /// and the slots of inactive genes keep stale words that no active gene
+    /// reads. Bits past the last example are unspecified (an inverter sets
+    /// them), so score with [`BitColumns::accuracy_of_packed`].
+    pub(crate) fn eval_columns<'a>(
+        &self,
+        cols: &'a BitColumns,
+        buf: &'a mut Vec<u64>,
+    ) -> &'a [u64] {
+        let words = cols.words_per_column();
         let active = self.active_mask();
-        let mut values: Vec<Option<Vec<u64>>> = vec![None; self.genes.len()];
-        // Compute in index order; inactive genes stay None.
+        buf.resize(self.genes.len() * words, 0);
         for (g, gene) in self.genes.iter().enumerate() {
             if !active[g] {
                 continue;
             }
-            let fetch = |idx: u32, values: &[Option<Vec<u64>>]| -> Vec<u64> {
+            let (done, rest) = buf.split_at_mut(g * words);
+            let signal = |idx: u32| -> &[u64] {
                 let idx = idx as usize;
                 if idx < self.num_inputs {
-                    columns[idx].clone()
+                    cols.column(idx)
                 } else {
-                    values[idx - self.num_inputs]
-                        .clone()
-                        .expect("connections point backwards to active genes")
+                    let g = idx - self.num_inputs;
+                    &done[g * words..(g + 1) * words]
                 }
             };
-            let va = fetch(gene.a, &values);
-            let col = match gene.func {
-                NodeFn::Not => va.iter().map(|w| !w).collect(),
+            let out = &mut rest[..words];
+            let a = signal(gene.a);
+            match gene.func {
+                NodeFn::Not => out.iter_mut().zip(a).for_each(|(o, x)| *o = !x),
                 NodeFn::And => {
-                    let vb = fetch(gene.b, &values);
-                    va.iter().zip(vb.iter()).map(|(x, y)| x & y).collect()
+                    let b = signal(gene.b);
+                    out.iter_mut()
+                        .zip(a.iter().zip(b))
+                        .for_each(|(o, (x, y))| *o = x & y);
                 }
                 NodeFn::Xor => {
-                    let vb = fetch(gene.b, &values);
-                    va.iter().zip(vb.iter()).map(|(x, y)| x ^ y).collect()
+                    let b = signal(gene.b);
+                    out.iter_mut()
+                        .zip(a.iter().zip(b))
+                        .for_each(|(o, (x, y))| *o = x ^ y);
                 }
-            };
-            values[g] = Some(col);
+            }
         }
         let out = self.output as usize;
         if out < self.num_inputs {
-            columns[out].clone()
+            cols.column(out)
         } else {
-            values[out - self.num_inputs]
-                .clone()
-                .unwrap_or_else(|| vec![0; words])
+            let g = out - self.num_inputs;
+            &buf[g * words..(g + 1) * words]
         }
     }
 
@@ -160,17 +171,8 @@ impl Genome {
         if ds.is_empty() {
             return 1.0;
         }
-        let words = ds.len().div_ceil(64);
-        let columns = dataset_columns(ds);
-        let out = self.eval_columns(&columns, words);
-        let mut correct = 0usize;
-        for (i, &o) in ds.outputs().iter().enumerate() {
-            let bit = (out[i / 64] >> (i % 64)) & 1 == 1;
-            if bit == o {
-                correct += 1;
-            }
-        }
-        correct as f64 / ds.len() as f64
+        let cols = ds.bit_columns();
+        cols.accuracy_of_packed(self.eval_columns(&cols, &mut Vec::new()))
     }
 
     /// Point-mutates each gene field independently with probability `rate`;
@@ -320,20 +322,6 @@ impl Genome {
     }
 }
 
-/// Bit-packed input columns of a dataset.
-pub(crate) fn dataset_columns(ds: &Dataset) -> Vec<Vec<u64>> {
-    let words = ds.len().div_ceil(64).max(1);
-    let mut columns = vec![vec![0u64; words]; ds.num_inputs()];
-    for (i, (p, _)) in ds.iter().enumerate() {
-        for (v, col) in columns.iter_mut().enumerate() {
-            if p.get(v) {
-                col[i / 64] |= 1 << (i % 64);
-            }
-        }
-    }
-    columns
-}
-
 fn random_fn(use_xor: bool, rng: &mut StdRng) -> NodeFn {
     match rng.gen_range(0..if use_xor { 3 } else { 2 }) {
         0 => NodeFn::And,
@@ -368,16 +356,26 @@ mod tests {
     #[test]
     fn predict_matches_eval_columns() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = Genome::random(5, 30, true, &mut rng);
-        let mut ds = Dataset::new(5);
-        for m in 0..32u64 {
-            ds.push(Pattern::from_index(m, 5), false);
-        }
-        let columns = dataset_columns(&ds);
-        let out = g.eval_columns(&columns, 1);
-        for m in 0..32u64 {
-            let bit = (out[0] >> m) & 1 == 1;
-            assert_eq!(bit, g.predict(&Pattern::from_index(m, 5)), "at {m}");
+        let g = Genome::random(7, 30, true, &mut rng);
+        let mut buf = Vec::new();
+        // One word, then a partial second and third word.
+        for n in [32u64, 65, 130] {
+            let mut ds = Dataset::new(7);
+            // The same patterns labelled by `predict`: its label column is
+            // the expected output column.
+            let mut predicted = Dataset::new(7);
+            for m in 0..n {
+                let p = Pattern::from_index(m * 37 % 128, 7);
+                predicted.push(p.clone(), g.predict(&p));
+                ds.push(p, m % 3 == 0);
+            }
+            let cols = ds.bit_columns();
+            let out = g.eval_columns(&cols, &mut buf);
+            let want = predicted.bit_columns();
+            let last = cols.words_per_column() - 1;
+            assert_eq!(out[..last], want.labels()[..last], "n={n}");
+            assert_eq!(out[last] & cols.tail_mask(), want.labels()[last], "n={n}");
+            assert_eq!(g.accuracy(&ds), ds.accuracy_of(|p| g.predict(p)), "n={n}");
         }
     }
 

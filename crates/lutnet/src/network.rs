@@ -2,7 +2,7 @@
 
 use lsml_aig::circuits::truth_table_cone;
 use lsml_aig::{Aig, Lit};
-use lsml_pla::{Dataset, Pattern, TruthTable};
+use lsml_pla::{BitColumns, Dataset, Pattern, TruthTable};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -72,38 +72,29 @@ impl LutNetwork {
     pub fn train(ds: &Dataset, cfg: &LutNetConfig) -> Self {
         assert!(cfg.lut_inputs >= 1, "LUTs need at least one input");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let n = ds.len();
-        let words = n.div_ceil(64).max(1);
-
-        // Bit-packed signal columns of the current layer (initially inputs).
-        let mut signals: Vec<Vec<u64>> = (0..ds.num_inputs())
-            .map(|v| {
-                let mut col = vec![0u64; words];
-                for (i, (p, _)) in ds.iter().enumerate() {
-                    if p.get(v) {
-                        col[i / 64] |= 1 << (i % 64);
-                    }
-                }
-                col
-            })
-            .collect();
-        let labels: Vec<bool> = ds.outputs().to_vec();
+        let cols = ds.bit_columns();
         let global_majority = ds.majority();
 
+        // Packed signal columns of the current layer (initially inputs).
+        let mut signals = input_signals(&cols);
+        let mut masks = Vec::new();
         let mut layers = Vec::with_capacity(cfg.layers + 1);
         for layer_idx in 0..=cfg.layers {
             let is_output = layer_idx == cfg.layers;
             let width = if is_output { 1 } else { cfg.luts_per_layer };
-            let mut dealer = Dealer::new(signals.len(), cfg.wiring, &mut rng);
-            let mut layer = Vec::with_capacity(width);
-            let mut next_signals = Vec::with_capacity(width);
-            for _ in 0..width {
-                let sources: Vec<u32> =
-                    (0..cfg.lut_inputs).map(|_| dealer.deal(&mut rng)).collect();
-                let lut = memorize_lut(&sources, &signals, &labels, n, global_majority);
-                next_signals.push(eval_lut_column(&lut, &signals, n, words));
-                layer.push(lut);
-            }
+            let n_sources = signals.len() / cols.words_per_column();
+            let mut dealer = Dealer::new(n_sources, cfg.wiring, &mut rng);
+            let mut next_signals = Vec::new();
+            let layer = (0..width)
+                .map(|_| {
+                    let sources: Vec<u32> =
+                        (0..cfg.lut_inputs).map(|_| dealer.deal(&mut rng)).collect();
+                    entry_masks(&sources, &signals, &cols, &mut masks);
+                    let table = memorize(&masks, cols.labels(), global_majority);
+                    push_column(&table, &masks, &mut next_signals);
+                    Lut { sources, table }
+                })
+                .collect();
             signals = next_signals;
             layers.push(layer);
         }
@@ -153,9 +144,22 @@ impl LutNetwork {
         values[0]
     }
 
-    /// Accuracy over a dataset.
+    /// Accuracy over a dataset of the training arity, by one forward pass
+    /// over its packed [`Dataset::bit_columns`].
     pub fn accuracy(&self, ds: &Dataset) -> f64 {
-        ds.accuracy_of(|p| self.predict(p))
+        assert_eq!(ds.num_inputs(), self.num_inputs, "dataset arity mismatch");
+        let cols = ds.bit_columns();
+        let mut signals = input_signals(&cols);
+        let mut masks = Vec::new();
+        for layer in &self.layers {
+            let mut next_signals = Vec::new();
+            for lut in layer {
+                entry_masks(&lut.sources, &signals, &cols, &mut masks);
+                push_column(&lut.table, &masks, &mut next_signals);
+            }
+            signals = next_signals;
+        }
+        cols.accuracy_of_packed(&signals[..cols.words_per_column()])
     }
 
     /// Compiles the network to an AIG: every LUT becomes a Shannon-expanded
@@ -178,68 +182,67 @@ impl LutNetwork {
     }
 }
 
-/// Builds the truth table of one LUT by majority memorization.
-fn memorize_lut(
-    sources: &[u32],
-    signals: &[Vec<u64>],
-    labels: &[bool],
-    n: usize,
-    fallback: bool,
-) -> Lut {
-    let k = sources.len();
-    let mut pos = vec![0u32; 1 << k];
-    let mut neg = vec![0u32; 1 << k];
-    for i in 0..n {
-        let mut idx = 0usize;
-        for (b, &s) in sources.iter().enumerate() {
-            if (signals[s as usize][i / 64] >> (i % 64)) & 1 == 1 {
-                idx |= 1 << b;
+/// The input columns of `cols`, concatenated: the signals of the first layer.
+fn input_signals(cols: &BitColumns) -> Vec<u64> {
+    (0..cols.num_inputs())
+        .flat_map(|f| cols.column(f))
+        .copied()
+        .collect()
+}
+
+/// Builds a LUT's `2^k` entry masks into `masks` by splitting: starting from
+/// the full mask, source `b` (a column of `signals`) splits every mask `m`
+/// into `m & !s_b` (entry `m`) and `m & s_b` (entry `m | 1 << b`). Entry `m`
+/// then selects the examples whose source bits spell `m`, as
+/// [`LutNetwork::predict`] indexes the table.
+fn entry_masks(sources: &[u32], signals: &[u64], cols: &BitColumns, masks: &mut Vec<u64>) {
+    let words = cols.words_per_column();
+    cols.full_mask_into(masks);
+    for (b, &s) in sources.iter().enumerate() {
+        let col = &signals[s as usize * words..][..words];
+        let half = words << b;
+        masks.resize(2 * half, 0);
+        let (lo, hi) = masks.split_at_mut(half);
+        for (lo, hi) in lo.chunks_exact_mut(words).zip(hi.chunks_exact_mut(words)) {
+            for ((l, h), c) in lo.iter_mut().zip(hi).zip(col) {
+                *h = *l & c;
+                *l &= !c;
             }
         }
-        if labels[i] {
-            pos[idx] += 1;
-        } else {
-            neg[idx] += 1;
-        }
-    }
-    let mut table = TruthTable::zeros(k);
-    for m in 0..(1u32 << k) {
-        let (p, q) = (pos[m as usize], neg[m as usize]);
-        let bit = if p + q == 0 {
-            fallback // unseen entry: don't-care filled with the majority label
-        } else {
-            p > q || (p == q && fallback)
-        };
-        table.set(m, bit);
-    }
-    Lut {
-        sources: sources.to_vec(),
-        table,
     }
 }
 
-/// Evaluates one LUT over all examples, returning its bit-packed column.
-fn eval_lut_column(lut: &Lut, signals: &[Vec<u64>], n: usize, words: usize) -> Vec<u64> {
-    let mut col = vec![0u64; words];
-    for i in 0..n {
-        let mut idx = 0u32;
-        for (b, &s) in lut.sources.iter().enumerate() {
-            if (signals[s as usize][i / 64] >> (i % 64)) & 1 == 1 {
-                idx |= 1 << b;
-            }
-        }
-        if lut.table.get(idx) {
-            col[i / 64] |= 1 << (i % 64);
+/// Appends a LUT's output column to `out`: the OR of the entry masks whose
+/// table bit is set.
+fn push_column(table: &TruthTable, masks: &[u64], out: &mut Vec<u64>) {
+    let words = masks.len() / table.num_entries();
+    let start = out.len();
+    out.resize(start + words, 0);
+    for (m, mask) in masks.chunks_exact(words).enumerate() {
+        if table.get(m as u32) {
+            out[start..].iter_mut().zip(mask).for_each(|(o, x)| *o |= x);
         }
     }
-    col
+}
+
+/// Memorizes one LUT's table from its entry masks: each entry takes the
+/// majority label of the examples it selects; ties and unseen entries
+/// (don't-cares) take `fallback`.
+fn memorize(masks: &[u64], labels: &[u64], fallback: bool) -> TruthTable {
+    let words = labels.len();
+    let k = (masks.len() / words).trailing_zeros() as usize;
+    TruthTable::from_fn(k, |m| {
+        let mask = &masks[m as usize * words..][..words];
+        let pos = BitColumns::count_and(mask, labels);
+        let seen = BitColumns::count_ones(mask);
+        2 * pos > seen || (2 * pos == seen && fallback)
+    })
 }
 
 /// Deals source indices according to the wiring discipline.
 struct Dealer {
     pool: Vec<u32>,
     at: usize,
-    n_sources: usize,
     wiring: Wiring,
 }
 
@@ -251,14 +254,13 @@ impl Dealer {
         Dealer {
             pool,
             at: 0,
-            n_sources,
             wiring,
         }
     }
 
     fn deal(&mut self, rng: &mut StdRng) -> u32 {
         match self.wiring {
-            Wiring::Random => self.pool[rng.gen_range(0..self.n_sources)],
+            Wiring::Random => self.pool[rng.gen_range(0..self.pool.len())],
             Wiring::UniqueRandom => {
                 if self.at == self.pool.len() {
                     self.pool.shuffle(rng);
@@ -345,6 +347,27 @@ mod tests {
         let net = LutNetwork::train(&ds, &cfg);
         assert_eq!(net.layer_count(), 4); // 3 hidden + output
         assert_eq!(net.lut_count(), 3 * 7 + 1);
+    }
+
+    #[test]
+    fn columnar_accuracy_matches_predict_across_word_boundaries() {
+        let train = full_dataset(|m| (m * 5) % 11 < 5, 7);
+        for k in [1, 6] {
+            let cfg = LutNetConfig {
+                lut_inputs: k,
+                luts_per_layer: 9,
+                ..LutNetConfig::default()
+            };
+            let net = LutNetwork::train(&train, &cfg);
+            for n in [1u64, 63, 64, 65, 130] {
+                let mut ds = Dataset::new(7);
+                for m in 0..n {
+                    ds.push(Pattern::from_index(m * 53 % 128, 7), m % 3 != 0);
+                }
+                let want = ds.accuracy_of(|p| net.predict(p));
+                assert_eq!(net.accuracy(&ds), want, "k={k}, n={n}");
+            }
+        }
     }
 
     #[test]

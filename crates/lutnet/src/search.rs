@@ -39,7 +39,6 @@ pub fn beam_search(
     let mut tried = 1usize;
 
     for _ in 0..max_rounds {
-        let mut improved = false;
         let mut round_best: Option<(LutNetConfig, LutNetwork, f64)> = None;
         for candidate in grow_moves(&best_cfg) {
             let net = LutNetwork::train(train, &candidate);
@@ -49,15 +48,12 @@ pub fn beam_search(
                 round_best = Some((candidate, net, acc));
             }
         }
-        if let Some((cfg, net, acc)) = round_best {
-            best_cfg = cfg;
-            best_net = net;
-            best_acc = acc;
-            improved = true;
-        }
-        if !improved {
+        let Some((cfg, net, acc)) = round_best else {
             break;
-        }
+        };
+        best_cfg = cfg;
+        best_net = net;
+        best_acc = acc;
     }
     BeamSearchResult {
         network: best_net,
