@@ -1,10 +1,10 @@
-//! A blocking client for the daemon, used by the tests, the bench load
-//! generator, and anyone scripting the protocol.
+//! A blocking client for the daemon, used by the tests, the repository
+//! benchmark's serve workload, and anyone scripting the protocol.
 //!
 //! One request at a time (send, then wait for the matching response); the
 //! wire protocol itself allows pipelining, but lockstep keeps the client
-//! trivially correct and is what the load generator wants for latency
-//! measurements anyway.
+//! trivially correct and is what a closed-loop load generator wants for
+//! latency measurements anyway.
 
 use crate::protocol::{
     encode_datasets, encode_request, parse_response, read_frame, write_frame, FrameError, Op,

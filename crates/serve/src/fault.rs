@@ -4,10 +4,10 @@
 //! carries its chaos monkey with it: a [`FaultPlan`], derived
 //! deterministically from `LSML_FAULT_SEED`, that makes workers panic on a
 //! schedule, stalls requests past their deadlines, corrupts snapshot
-//! writes, and abandons snapshot writes mid-way. The integration tests and
-//! the `serve` bench run the daemon *with faults on* and assert it keeps
-//! serving — the same seed always injects the same faults, so a CI failure
-//! replays locally.
+//! writes, and abandons snapshot writes mid-way. The integration tests
+//! (`tests/daemon_faults.rs`, concurrent clients included) run the daemon
+//! *with faults on* and assert it keeps serving — the same seed always
+//! injects the same faults, so a CI failure replays locally.
 //!
 //! The five injected failure classes (mirroring `tests/daemon_faults.rs`):
 //!

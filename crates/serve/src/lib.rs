@@ -19,8 +19,9 @@
 //! * [`durable`] — the checksummed file frame and the temp + fsync + atomic
 //!   rename writer that snapshots and `lsml-suite` checkpoints share.
 //! * [`fault`] — the deterministic fault-injection harness
-//!   (`LSML_FAULT_SEED`) that CI runs the daemon under.
-//! * [`client`] — a blocking client for tests and the bench load generator.
+//!   (`LSML_FAULT_SEED`) that the integration tests run the daemon under.
+//! * [`client`] — a blocking client for the tests and the repository
+//!   benchmark's serve workload.
 //!
 //! Environment knobs (`LSML_SERVE_*`, `LSML_FAULT_SEED`) are documented in
 //! the [`lsml_aig::par`] knob table, next to the engine's `LSML_*` family.

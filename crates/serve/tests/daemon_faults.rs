@@ -309,3 +309,118 @@ fn daemon_survives_all_five_classes_and_restarts() {
     server_b.shutdown_and_join();
     let _ = std::fs::remove_file(&path);
 }
+
+/// Pings a fresh client until one is answered `Ok`: sheds and injected
+/// faults may persist briefly after a storm, but a healthy daemon serves
+/// again within the bound.
+fn assert_serves_again(server: &Server) {
+    let mut c = Client::connect(server.local_addr()).expect("connect after the storm");
+    let served = (0..500).any(|_| {
+        c.ping().is_ok() || {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            false
+        }
+    });
+    assert!(served, "the daemon must serve again after the storm");
+}
+
+/// Runs `clients` lockstep clients of `pings` pings each against `server`
+/// and returns how many were answered `Ok` and how many with each
+/// structured error status. A transport error fails the test: it means a
+/// worker died or the daemon wedged.
+fn ping_storm(server: &Server, clients: usize, pings: usize) -> (u64, Vec<Status>) {
+    let addr = server.local_addr();
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                let mut ok = 0u64;
+                let mut errors = Vec::new();
+                for _ in 0..pings {
+                    match c.ping() {
+                        Ok(()) => ok += 1,
+                        Err(ClientError::Server(status, _)) => errors.push(status),
+                        Err(e) => panic!("transport error under load: {e}"),
+                    }
+                }
+                (ok, errors)
+            })
+        })
+        .collect();
+    let mut ok = 0;
+    let mut errors = Vec::new();
+    for h in handles {
+        let (o, e) = h.join().expect("client thread");
+        ok += o;
+        errors.extend(e);
+    }
+    (ok, errors)
+}
+
+/// Overload over TCP: one stalled worker behind a 2-deep queue, 16 clients
+/// of 40 pings. Excess load comes back as a structured `Overloaded`, never
+/// a transport error or a hang, some requests are still served, and the
+/// daemon serves again afterwards.
+#[test]
+fn overload_sheds_structured_answers_and_recovers() {
+    let mut cfg = ServerConfig::for_tests();
+    cfg.workers = 1;
+    cfg.queue_capacity = 2;
+    cfg.client_tokens = 1 << 20;
+    cfg.fault = FaultPlan {
+        seed: 0,
+        slow_period: 1, // stall every request: the worker is the bottleneck
+        slow_ms: 2,
+        ..FaultPlan::none()
+    };
+    let server = Server::start(cfg).expect("start");
+    let (ok, errors) = ping_storm(&server, 16, 40);
+    let shed = errors.iter().filter(|&&s| s == Status::Overloaded).count();
+    assert_eq!(
+        shed,
+        errors.len(),
+        "overload must shed, not fail: {errors:?}"
+    );
+    assert!(shed > 0, "a 2-deep queue behind 16 clients must shed");
+    assert!(ok > 0, "shedding must not starve all clients");
+    assert_serves_again(&server);
+    server.shutdown_and_join();
+}
+
+/// The seeded fault plan (panics and stalls) under 8 concurrent clients of
+/// 50 pings: every answer is a structured status and the daemon still
+/// serves afterwards.
+#[test]
+fn seeded_fault_plan_under_concurrent_clients() {
+    const FAULT_SEED: u64 = 20260807;
+    let mut cfg = ServerConfig::for_tests();
+    cfg.queue_capacity = 64;
+    cfg.client_tokens = 1024;
+    cfg.fault = FaultPlan::from_seed(FAULT_SEED);
+    assert!(cfg.fault.armed());
+    let server = Server::start(cfg).expect("start");
+    let (ok, errors) = ping_storm(&server, 8, 50);
+    assert_eq!(ok + errors.len() as u64, 8 * 50, "every ping answered");
+    assert!(!errors.is_empty(), "the plan should have injected faults");
+    assert_serves_again(&server);
+    let ord = loom::sync::atomic::Ordering::Relaxed;
+    assert!(server.counters().panics_caught.load(ord) > 0);
+    server.shutdown_and_join();
+}
+
+/// 64 lockstep clients of 20 pings against 4 workers and a 256-deep queue:
+/// the queue never fills, so every ping is answered `Ok`.
+#[test]
+fn many_lockstep_clients_are_all_served() {
+    let mut cfg = ServerConfig::for_tests();
+    cfg.workers = 4;
+    cfg.queue_capacity = 256;
+    cfg.client_tokens = 1024;
+    let server = Server::start(cfg).expect("start");
+    let (ok, errors) = ping_storm(&server, 64, 20);
+    assert!(errors.is_empty(), "no ping may fail: {errors:?}");
+    assert_eq!(ok, 64 * 20);
+    let ord = loom::sync::atomic::Ordering::Relaxed;
+    assert!(server.counters().accepted.load(ord) >= 64 * 20);
+    server.shutdown_and_join();
+}

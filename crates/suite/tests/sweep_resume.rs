@@ -116,6 +116,8 @@ fn gauntlet_classifies_every_failure_mode() {
     // 24 units: panics at 8, 17 (period 9); stalls at 10, 21 (period 11).
     assert_eq!(failed, 2, "injected panics classified Failed");
     assert_eq!(timed_out, 2, "injected stalls classified TimedOut");
+    let scored: u64 = stats.families.values().map(|f| f.acc_n).sum();
+    assert!(scored > 0, "some units must reach scoring");
 
     // The two bad external files are quarantined with reasons; the two
     // valid ones are swept (one unit at index 21 stalls — still counted
