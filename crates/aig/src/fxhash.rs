@@ -5,7 +5,9 @@
 //! * [`FNV_OFFSET`] / [`fnv1a_mix`] — the one FNV-1a mixing step behind
 //!   every stable fingerprint in the tree (structural graph fingerprints,
 //!   pass/pipeline fingerprints, the sweep's signature-bucket hashes, the
-//!   compile cache's budget fingerprints in `lsml-core`);
+//!   compile cache's budget fingerprints in `lsml-core`), and
+//!   [`fnv1a_bytes`], its byte-wise fold (pass names, the `lsml-serve`
+//!   file checksums, the `lsml-neural` golden hashes);
 //! * `FxHasher` — a multiply-rotate map hasher (rustc's FxHash recipe) for
 //!   the crate's hot maps. The structural hash, the rewrite pass's
 //!   table → entry cache, and the sweep's buckets all probe maps millions
@@ -23,6 +25,13 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 #[inline]
 pub fn fnv1a_mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// Byte-wise FNV-1a: folds each byte of `bytes` into `h` with
+/// [`fnv1a_mix`]. Start from [`FNV_OFFSET`] for the plain FNV-1a hash.
+#[inline]
+pub fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a_mix(h, u64::from(b)))
 }
 
 /// Multiply-rotate hasher: `h = (rotl(h, 5) ^ v) * K` per written word.
@@ -105,6 +114,19 @@ mod tests {
             assert_eq!(m.get(&(i, i.wrapping_mul(7))), Some(&(u64::from(i) << 3)));
         }
         assert_eq!(m.get(&(1000, 7000)), None);
+    }
+
+    #[test]
+    fn fnv1a_bytes_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a_bytes(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_bytes(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_bytes(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding continues from the given state.
+        assert_eq!(
+            fnv1a_bytes(fnv1a_bytes(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a_bytes(FNV_OFFSET, b"foobar")
+        );
     }
 
     #[test]

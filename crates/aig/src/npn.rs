@@ -948,6 +948,69 @@ mod tests {
         }
     }
 
+    /// Negation lanes `canonize6` walks for `tt`: the 64 input-negation
+    /// tables, deduplicated up to output complement.
+    fn lane_count(tt: u64) -> usize {
+        let mut seen: Vec<u64> = Vec::new();
+        for neg in 0..64usize {
+            let t = (0..6).filter(|v| (neg >> v) & 1 == 1).fold(tt, flip_var);
+            if !seen.iter().any(|&x| x == t || x == !t) {
+                seen.push(t);
+            }
+        }
+        seen.len()
+    }
+
+    /// The lane split fans out only above 16 lanes; at worker gate 4 it
+    /// must pick the same `(table, transform)` as the single-chunk walk,
+    /// for tables that leave many lanes and tables that leave few.
+    #[test]
+    fn canonize6_lane_split_matches_single_chunk() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let parity6 = VAR_TT.iter().fold(0, |t, &v| t ^ v);
+        let and6 = VAR_TT.iter().fold(u64::MAX, |t, &v| t & v);
+        let at_least_3 = (0..64u64)
+            .filter(|m| m.count_ones() >= 3)
+            .fold(0, |t, m| t | 1 << m);
+        let mut tables = vec![
+            parity6,
+            and6,
+            at_least_3,
+            VAR_TT[0] & VAR_TT[1],
+            VAR_TT[0] ^ (VAR_TT[1] & VAR_TT[2]),
+            broadcast16(0x6996),
+            broadcast16(rng.gen()),
+        ];
+        for _ in 0..4 {
+            let r: u64 = rng.gen();
+            tables.push(r);
+            // x5 vacuous: 32 lanes.
+            tables.push((r & !VAR_TT[5]) | ((r & !VAR_TT[5]) << 32));
+            // Negating x0 complements the table: 32 lanes.
+            tables.push(VAR_TT[0] ^ cofactor0(r, 0));
+        }
+        let lanes: Vec<usize> = tables.iter().map(|&tt| lane_count(tt)).collect();
+        assert!(lanes.iter().any(|&n| n > 16), "no table splits: {lanes:?}");
+        assert!(
+            lanes.iter().any(|&n| n <= 16),
+            "every table splits: {lanes:?}"
+        );
+
+        let with_workers = |n: usize, tt: u64| {
+            crate::par::TEST_FORCE_WORKERS.with(|c| c.set(n));
+            let out = canonize6(tt);
+            crate::par::TEST_FORCE_WORKERS.with(|c| c.set(0));
+            out
+        };
+        for (&tt, &n) in tables.iter().zip(&lanes) {
+            assert_eq!(
+                with_workers(1, tt),
+                with_workers(4, tt),
+                "tt {tt:016x} ({n} lanes)"
+            );
+        }
+    }
+
     #[test]
     fn transform_composition_matches_sequential_application() {
         let mut rng = StdRng::seed_from_u64(23);

@@ -64,15 +64,11 @@
 use std::sync::OnceLock;
 
 use crate::aig::Aig;
-use crate::fxhash::{fnv1a_mix, FNV_OFFSET};
+use crate::fxhash::{fnv1a_bytes, fnv1a_mix, FNV_OFFSET};
 use crate::lit::Lit;
 use crate::lru::{budget_from_env, ShardedLru};
 use crate::rewrite::{rewrite, RewriteConfig};
 use crate::sweep::{sweep, SweepConfig};
-
-fn fnv_str(h: u64, s: &str) -> u64 {
-    s.bytes().fold(h, |h, b| fnv1a_mix(h, u64::from(b)))
-}
 
 /// Whether the structural verifiers run after every pass: **`LSML_CHECK=1`**
 /// in the environment (read once per process). Independent of build profile
@@ -98,7 +94,7 @@ pub trait Pass: Send + Sync {
     /// fixpoint cache keys on it). The default hashes only the name —
     /// passes with tunable configuration must fold that in too.
     fn fingerprint(&self) -> u64 {
-        fnv_str(FNV_OFFSET, self.name())
+        fnv1a_bytes(FNV_OFFSET, self.name().as_bytes())
     }
 }
 
@@ -149,7 +145,7 @@ impl Pass for RewritePass {
         rewrite(aig, &self.0)
     }
     fn fingerprint(&self) -> u64 {
-        let mut h = fnv_str(FNV_OFFSET, self.name());
+        let mut h = fnv1a_bytes(FNV_OFFSET, self.name().as_bytes());
         h = fnv1a_mix(h, u64::from(self.0.zero_gain));
         h = fnv1a_mix(h, self.0.max_cuts as u64);
         fnv1a_mix(h, self.0.cut_size as u64)
@@ -179,7 +175,7 @@ impl Pass for SweepPass {
     }
     fn fingerprint(&self) -> u64 {
         let cfg = &self.0;
-        let mut h = fnv_str(FNV_OFFSET, self.name());
+        let mut h = fnv1a_bytes(FNV_OFFSET, self.name().as_bytes());
         for v in [
             cfg.rounds as u64,
             cfg.seed,

@@ -1,13 +1,13 @@
 //! In-pass parallelism gate and the runtime environment-knob reference.
 //!
-//! The synthesis hot paths (wavefront cut enumeration in [`crate::cut`],
-//! block simulation and candidate verification in [`crate::sweep`], the
-//! exact-canonizer lane walk in [`crate::npn`]) fan work out over the
-//! vendored work-stealing pool. Every such fan-out is **bit-identical** to
-//! the serial path by construction — work is partitioned into fixed chunks
-//! whose results merge by a deterministic, schedule-independent rule — so
-//! parallelism is a pure throughput knob, never a semantics knob. This
-//! module decides *whether* a pass may fan out at all.
+//! Parallel work in the workspace fans out *across* circuits: teams,
+//! benchmarks and portfolio candidates each run on the vendored
+//! work-stealing pool. Inside a pass, cut enumeration, sweeping and
+//! rewriting run serially; the one in-pass fan-out is the exact-canonizer
+//! lane walk in [`crate::npn`], which splits its negation lanes into fixed
+//! chunks whose minima merge by a strict total order, so the result is
+//! **bit-identical** to the single-chunk walk. This module sizes those
+//! chunks.
 //!
 //! # Runtime environment knobs
 //!
@@ -48,18 +48,19 @@
 thread_local! {
     /// Test-only override of [`effective_workers`] (`0` = no override).
     /// The pool's width is latched process-wide at first use, so tests
-    /// that need to drive both the serial and the parallel gates within
-    /// one process (the `crate::par_props` identity proptests) set this
-    /// instead of `LSML_NUM_THREADS`. Thread-local on purpose: every gate
-    /// is consulted on the calling thread before any fan-out, and
-    /// concurrently running tests must not perturb each other's gate.
+    /// that need to drive both the single-chunk and the split lane walk
+    /// within one process (the `crate::par_props` pipeline proptest and the
+    /// `crate::npn` lane-split test) set this instead of
+    /// `LSML_NUM_THREADS`. Thread-local on purpose: the gate is consulted
+    /// on the calling thread before any fan-out, and concurrently running
+    /// tests must not perturb each other's gate.
     pub(crate) static TEST_FORCE_WORKERS: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
 }
 
 /// Number of workers a pass may fan out over: the pool width
 /// (`LSML_NUM_THREADS`; starts the pool on first call).
-pub fn effective_workers() -> usize {
+pub(crate) fn effective_workers() -> usize {
     #[cfg(test)]
     {
         let forced = TEST_FORCE_WORKERS.with(|c| c.get());
@@ -74,7 +75,7 @@ pub fn effective_workers() -> usize {
 /// `min_per_chunk` items. Returns the chunk size to use (callers partition
 /// `0..items` into consecutive ranges of this size — a *fixed* partition,
 /// so results are independent of which worker runs which chunk).
-pub fn chunk_len(items: usize, min_per_chunk: usize) -> usize {
+pub(crate) fn chunk_len(items: usize, min_per_chunk: usize) -> usize {
     let workers = effective_workers();
     if workers <= 1 || items <= min_per_chunk {
         return items.max(1);

@@ -1,23 +1,20 @@
-//! Property tests pinning every parallel in-pass path to its serial
-//! counterpart (see [`crate::par`] for the gates and the knob table).
+//! Property test pinning the optimization pipeline's output to be
+//! independent of the worker count (see [`crate::par`] for the knob
+//! table). The only in-pass fan-out is the NPN lane walk in
+//! [`crate::npn`]; the pipeline drives it through rewriting.
 //!
-//! The pool's width is latched process-wide, so these tests drive the
+//! The pool's width is latched process-wide, so this test drives the
 //! serial/parallel decision through the thread-local
 //! [`crate::par::TEST_FORCE_WORKERS`] override — workers `1` versus `4`
-//! within one process — plus the crate-internal force hooks
-//! (`enumerate_with`, `sweep_with_mode`) that bypass the size thresholds.
-//! Identity must hold whether or not a graph clears those thresholds, so
-//! the generated graphs straddle them.
+//! within one process.
 //!
-//! Each leg runs on a fresh `std::thread` so the sweep's thread-local
-//! signature cache starts cold on both sides of every comparison.
+//! Each leg runs on a fresh `std::thread` so the thread-local NPN memo and
+//! sweep signature cache start cold on both sides of every comparison.
 
 use crate::aig::Aig;
-use crate::cut::{CutArena, CutConfig};
 use crate::lit::Lit;
 use crate::opt::{BalancePass, CleanupPass, Pipeline, RewritePass, SweepPass};
 use crate::par::TEST_FORCE_WORKERS;
-use crate::sweep::{sweep_with_mode, SweepConfig};
 use proptest::prelude::*;
 
 const NUM_INPUTS: usize = 6;
@@ -61,54 +58,6 @@ fn on_thread_with_workers<T: Send + 'static>(
     })
     .join()
     .expect("worker-gated leg panicked")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Wavefront cut enumeration reproduces the serial CSR buffers
-    /// byte for byte at k = 4 and k = 6, on arbitrary graphs.
-    #[test]
-    fn cut_arena_bytes_identical_serial_vs_wavefront(ops in arb_ops(300)) {
-        let g = build(&ops);
-        for k in [4usize, 6] {
-            let cfg = CutConfig { k, ..CutConfig::default() };
-            let g2 = g.clone();
-            let serial = on_thread_with_workers(1, move || {
-                let mut a = CutArena::new();
-                a.enumerate_with(&g2, &cfg, false);
-                a.csr_bytes()
-            });
-            let g2 = g.clone();
-            let wave = on_thread_with_workers(4, move || {
-                let mut a = CutArena::new();
-                a.enumerate_with(&g2, &cfg, true);
-                a.csr_bytes()
-            });
-            prop_assert_eq!(&serial, &wave, "CSR bytes diverged at k={}", k);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Parallel sweep (wavefront simulation + per-bucket verification
-    /// fan-out) returns a node-identical graph to the serial sweep.
-    #[test]
-    fn sweep_identical_serial_vs_parallel(ops in arb_ops(260), seed in 0u64..16) {
-        let g = build(&ops);
-        let cfg = SweepConfig { seed, ..SweepConfig::default() };
-        let (g2, c2) = (g.clone(), cfg.clone());
-        let serial = on_thread_with_workers(1, move || {
-            sweep_with_mode(&g2, &c2, false).structural_fingerprint()
-        });
-        let (g2, c2) = (g.clone(), cfg.clone());
-        let par = on_thread_with_workers(4, move || {
-            sweep_with_mode(&g2, &c2, true).structural_fingerprint()
-        });
-        prop_assert_eq!(serial, par);
-    }
 }
 
 proptest! {

@@ -24,7 +24,7 @@
 //! process per thread count — 1, 2 and the default width — recording each
 //! leg's wall-clock into `BENCH_rewrite.json`. Two
 //! more guards ride on the sweep: per-circuit AND counts must be
-//! bit-identical across every leg (parallel passes are a throughput knob,
+//! bit-identical across every leg (the pool width is a throughput knob,
 //! never a semantics knob — see `lsml_aig::par`), and the default-width
 //! total must beat the PR 5 serial baseline by ≥ 2.5x.
 
@@ -169,8 +169,8 @@ fn measure(name: String, corpus: &'static str, aig: &Aig) -> Entry {
 }
 
 /// `learner_pipeline_ms_total_k6` recorded by the PR 5 run of this bench
-/// (the last fully serial in-circuit pipeline), and the speedup the
-/// wavefront/parallel-pass PR must deliver against it at default width.
+/// (before the k = 6 NPN lane walk and `target-cpu=native`), and the
+/// speedup the default-width run must deliver against it.
 const K6_BASELINE_PR5_MS: f64 = 808.76;
 const K6_REQUIRED_SPEEDUP: f64 = 2.5;
 
@@ -369,7 +369,7 @@ fn main() {
         println!("  {label:>10} threads: {total_ms:.0} ms total");
         scale_results.push((label.clone(), total_ms, ands));
     }
-    // Bit-identity guard: the parallel passes must never change results,
+    // Bit-identity guard: the pool width must never change results,
     // so every leg's per-circuit AND counts must equal the 1-thread leg's.
     for (label, _, ands) in &scale_results[1..] {
         assert_eq!(

@@ -120,7 +120,7 @@ impl SizeBudget {
 
     /// A stable fingerprint of every compilation-relevant knob, combined
     /// with the pipeline configuration (which covers the sweep stimulus of
-    /// [`LearnedCircuit::compile_with_columns`]).
+    /// [`CompileBatch::with_sweep_columns`]).
     fn fingerprint(&self, pipeline: &Pipeline) -> u64 {
         let mut h = lsml_aig::fxhash::FNV_OFFSET;
         let mut feed = |v: u64| h = lsml_aig::fxhash::fnv1a_mix(h, v);
@@ -372,26 +372,6 @@ impl LearnedCircuit {
         };
         (circuit, verdict)
     }
-
-    /// [`LearnedCircuit::compile`] with the problem's training columns
-    /// prepended to the sweep's signature stimulus: the application data
-    /// acts as an extra discriminator that separates candidate classes
-    /// random patterns alone cannot split, cutting down the pairs sent to
-    /// exhaustive verification. Merging is still decided only by that
-    /// exhaustive check, so semantics are preserved exactly.
-    pub fn compile_with_columns(
-        aig: Aig,
-        method: impl Into<String>,
-        budget: &SizeBudget,
-        problem: &Problem,
-    ) -> LearnedCircuit {
-        let sweep_cfg = SweepConfig {
-            seed: budget.seed,
-            stimulus: Some(problem.train.bit_columns()),
-            ..SweepConfig::default()
-        };
-        compile_through(Pipeline::resyn_with_sweep(sweep_cfg), aig, method, budget)
-    }
 }
 
 /// The shared compile tail: canonicalize, probe the cache, else run the
@@ -596,21 +576,11 @@ impl CompileBatch {
         }
     }
 
-    /// The batch a contest problem implies: the problem's inputs and
-    /// [`SizeBudget::for_problem`] budget, with the training columns feeding
-    /// the sweep signatures (the batched analogue of
-    /// [`LearnedCircuit::compile_with_columns`]).
-    pub fn for_problem(problem: &Problem) -> CompileBatch {
-        CompileBatch::new(
-            problem.train.num_inputs(),
-            &SizeBudget::for_problem(problem),
-        )
-        .with_sweep_columns(problem.train.bit_columns())
-    }
-
-    /// Feeds `columns` into the sweep's signature stimulus, exactly like
-    /// [`LearnedCircuit::compile_with_columns`] does for the per-candidate
-    /// path.
+    /// Feeds `columns` into the sweep's signature stimulus: the application
+    /// data acts as an extra discriminator that separates candidate classes
+    /// random patterns alone cannot split, cutting down the pairs sent to
+    /// exhaustive verification. Merging is still decided only by that
+    /// exhaustive check, so semantics are preserved exactly.
     pub fn with_sweep_columns(mut self, columns: Arc<BitColumns>) -> CompileBatch {
         self.sweep_columns = Some(columns);
         self
@@ -945,8 +915,10 @@ mod tests {
             valid.push(Pattern::random(&mut rng, 8), rng.gen());
         }
         let problem = Problem::new(train, valid, 5);
-        let budget = SizeBudget::for_problem(&problem);
-        let c = LearnedCircuit::compile_with_columns(g.clone(), "parity", &budget, &problem);
+        let mut batch = CompileBatch::new(8, &SizeBudget::for_problem(&problem))
+            .with_sweep_columns(problem.train.bit_columns());
+        let id = batch.add_aig(&g, "parity");
+        let c = batch.compile(id);
         for m in 0..256u64 {
             let bits: Vec<bool> = (0..8).map(|i| (m >> i) & 1 == 1).collect();
             assert_eq!(c.aig.eval(&bits), g.eval(&bits));

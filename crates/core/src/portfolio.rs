@@ -11,45 +11,29 @@ use rayon::prelude::*;
 
 use crate::problem::LearnedCircuit;
 
-/// One deferred candidate construction: a boxed closure so heterogeneous
-/// model builders (matcher, ESPRESSO, forests, ...) can share a single
-/// fan-out. Returning `None` means the builder produced no candidate (for
-/// example, no standard function matched).
-pub type CandidateTask<'a> = Box<dyn FnOnce() -> Option<LearnedCircuit> + Send + 'a>;
-
-/// Runs candidate *constructions* in parallel over the work-stealing pool —
-/// the portfolio fan-out the ROADMAP asked for inside `Learner::learn`, not
-/// just candidate scoring. Tasks execute via recursive `join` splitting, so
-/// nesting inside an already-parallel context (one learner per benchmark,
-/// one benchmark per team) reuses the same fixed worker set. Results come
-/// back in task order with `None`s dropped, which keeps every downstream
-/// tie-break identical to the old sequential construction.
-pub fn construct_candidates(tasks: Vec<CandidateTask<'_>>) -> Vec<LearnedCircuit> {
-    fan_out_all(tasks)
-}
-
 /// One deferred *raw* candidate construction for the batched compile path:
 /// the builder returns an uncompiled graph plus its method label, and the
 /// caller feeds the results into a [`crate::compile::CompileBatch`] so every
 /// candidate lands in one shared strashed graph before optimization.
 pub type RawCandidateTask<'a> = Box<dyn FnOnce() -> Option<(lsml_aig::Aig, String)> + Send + 'a>;
 
-/// [`construct_candidates`] for raw (uncompiled) candidates: same recursive
-/// `join` fan-out, same order-preserving `None` dropping.
+/// Runs raw candidate *constructions* in parallel over the work-stealing
+/// pool. Tasks execute via recursive `join` splitting, so nesting inside an
+/// already-parallel context (one learner per benchmark, one benchmark per
+/// team) reuses the same fixed worker set. Results come back in task order
+/// with `None`s dropped, which keeps every downstream tie-break identical
+/// to a sequential construction.
 pub fn construct_raw(tasks: Vec<RawCandidateTask<'_>>) -> Vec<(lsml_aig::Aig, String)> {
-    fan_out_all(tasks)
-}
-
-type Task<'a, T> = Box<dyn FnOnce() -> Option<T> + Send + 'a>;
-
-fn fan_out_all<'a, T: Send>(tasks: Vec<Task<'a, T>>) -> Vec<T> {
-    let mut slots: Vec<Option<Task<'a, T>>> = tasks.into_iter().map(Some).collect();
-    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(slots.len()).collect();
+    let mut slots: Vec<Option<RawCandidateTask<'_>>> = tasks.into_iter().map(Some).collect();
+    let mut out: Vec<Option<(lsml_aig::Aig, String)>> = vec![None; slots.len()];
     fan_out(&mut slots, &mut out);
     out.into_iter().flatten().collect()
 }
 
-fn fan_out<'a, T: Send>(tasks: &mut [Option<Task<'a, T>>], out: &mut [Option<T>]) {
+fn fan_out(
+    tasks: &mut [Option<RawCandidateTask<'_>>],
+    out: &mut [Option<(lsml_aig::Aig, String)>],
+) {
     match tasks.len() {
         0 => {}
         1 => out[0] = (tasks[0].take().expect("task present"))(),

@@ -8,24 +8,22 @@
 //! both the float summation order and the set of weights that training
 //! touches.
 
+use lsml_aig::fxhash::{fnv1a_bytes, FNV_OFFSET};
 use lsml_pla::{Dataset, Pattern};
 
 use crate::mlp::{Activation, Mlp, MlpConfig};
 use crate::synth::prune_to_fanin;
 
-/// 64-bit FNV-1a over a stream of words.
+/// 64-bit FNV-1a over the little-endian bytes of a stream of words.
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_OFFSET)
     }
 
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a_bytes(self.0, &w.to_le_bytes());
     }
 }
 

@@ -16,6 +16,7 @@
 
 use crate::fault::FaultPlan;
 use crate::protocol::Wire;
+use lsml_aig::fxhash::{fnv1a_bytes, FNV_OFFSET};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -23,12 +24,7 @@ use std::path::Path;
 /// FNV-1a over bytes — small, dependency-free, and plenty to catch torn
 /// writes and bit flips (this is corruption *detection*, not security).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(FNV_OFFSET, bytes)
 }
 
 /// Frames `payload` as magic + version + length + payload + checksum.
